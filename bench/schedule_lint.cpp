@@ -3,7 +3,8 @@
 // face of src/analysis and src/program. A clean run certifies, without
 // simulating, that every shipped schedule is deadlock-free, semantically
 // ordered, memory balanced, and that the vocabulary schedules hold the
-// paper's peak activation closed forms (p / p+1 / p+2 microbatches).
+// paper's peak activation closed forms (p / p+1 / p+2 microbatches; 1 for
+// the unpipelined naive baseline).
 //
 //   ./build/bench/schedule_lint            # table + nonzero exit on findings
 //   ./build/bench/schedule_lint --csv      # machine-readable table
@@ -94,6 +95,9 @@ std::vector<Case> build_cases(int p, std::int64_t v) {
   cases.push_back({build_1f1b(cm, p, redis_assignment(cm, p), "redis"), static_cast<double>(p)});
   cases.push_back({build_1f1b_vocab(cm, p, OutputAlgo::Alg1), static_cast<double>(p + 2)});
   cases.push_back({build_1f1b_vocab(cm, p, OutputAlgo::Alg2), static_cast<double>(p + 1)});
+  // Naive: the same building block, one microbatch in flight.
+  cases.push_back({build_naive_vocab(cm, p, OutputAlgo::Alg1), 1.0});
+  cases.push_back({build_naive_vocab(cm, p, OutputAlgo::Alg2), 1.0});
   // Zero-bubble family: w_delay=0 members hold the 1F1B-vocab closed forms
   // (p+2 / p+1); each +1 of w_delay defers one more BW cycle, +1/3 mb.
   cases.push_back({build_zb_vocab(cm, p, OutputAlgo::Alg1, "", ZbOptions{0, -1}),

@@ -15,8 +15,7 @@
 //   BARRIER b       block until every lane reached barrier b
 //   HALT            end of lane
 //
-// — so the interpreter's hot loop is a switch over eight opcodes, programs
-// serialize to a few KB with a stable content hash (cross-run schedule
+// — so programs serialize to a few KB with a stable content hash (cross-run schedule
 // caching, deterministic fault-harness replay), and — the point of the
 // exercise — a *second*, independent verifier (program_verifier.h) can
 // re-decide the schedule invariants directly on this artifact, making the
@@ -24,8 +23,11 @@
 //
 // Kernel ids are the source schedule's op ids: the kernels table carries a
 // semantic snapshot (kind, device, stream, microbatch, chunk, memory deltas)
-// of every op, which is all the program verifier consumes; the executor
-// additionally uses the id to dispatch the original Op to its OpRunner.
+// of every op, which is all the program verifier consumes. The executor
+// walks each lane and dispatches the original Op of every CALL/COLL to its
+// OpRunner; SEND/RECV/BARRIER/ALLOC/FREE are the static facts the verifier
+// proves (the runtime's tag-addressed channels and collective group
+// enforce the same edges).
 
 #include <cstdint>
 #include <string>

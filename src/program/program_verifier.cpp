@@ -106,7 +106,7 @@ class ProgramVerifier {
         report(Severity::Error, ProgramCheck::Shape, d,
                static_cast<int>(code.size()) - 1, {},
                "lane " + std::to_string(d) + " does not end with HALT",
-               "every lane must terminate so the interpreter knows where to stop");
+               "every lane must terminate so the executor knows where to stop");
         ok = false;
       }
       for (std::size_t pc = 0; pc < code.size(); ++pc) {

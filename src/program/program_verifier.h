@@ -6,7 +6,7 @@
 // The schedule-level verifier (src/analysis) proves the invariants of the
 // *source* IR; this pass re-decides them, independently, on the *compiled
 // artifact*, so the compiler itself never has to be trusted: every program
-// is re-proven before it may be interpreted, and any divergence between the
+// is re-proven before it may be executed, and any divergence between the
 // two proofs is by construction a compiler bug (reported with lane + pc +
 // kernel ids). Checks, each a per-lane abstract interpretation or a static
 // scan of the instruction streams:

@@ -26,8 +26,6 @@ ElasticTrainer::ElasticTrainer(GptWeights weights, int p, OutputAlgo algo,
       num_layers_(weights.config.num_layers) {
   VOCAB_CHECK(!options_.checkpoint_path.empty(),
               "elastic training requires a checkpoint path (recovery IS the checkpoint)");
-  VOCAB_CHECK(flavor_ != PipelineFlavor::Naive,
-              "elastic lane workers drive the scheduled flavors only (not naive)");
   VOCAB_CHECK(options_.backend != transport::TransportKind::kThreads,
               "elastic training needs a multi-process backend (shm or tcp)");
   // The initial checkpoint: even a death in the very first iteration has a

@@ -1,16 +1,10 @@
 #include "runtime/schedule_executor.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <exception>
-#include <map>
-#include <mutex>
-#include <set>
 #include <thread>
 #include <utility>
 
-#include "comm/channel.h"  // default_comm_timeout
-#include "common/env.h"
 #include "common/error.h"
 #include "parallel/thread_pool.h"
 #include "program/compiler.h"
@@ -26,90 +20,13 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-ExecutorBackend backend_from_env() {
-  const std::string choice =
-      choice_from_env("VOCAB_EXECUTOR", "structs", {"structs", "program"});
-  return choice == "program" ? ExecutorBackend::kProgram : ExecutorBackend::kStructs;
-}
-
 }  // namespace
-
-const char* to_string(ExecutorBackend backend) {
-  switch (backend) {
-    case ExecutorBackend::kStructs: return "structs";
-    case ExecutorBackend::kProgram: return "program";
-  }
-  return "?";
-}
 
 double ExecutorStats::idle_fraction(int device) const {
   if (wall_seconds <= 0.0) return 0.0;
   const double busy = compute_seconds[static_cast<std::size_t>(device)];
   return busy >= wall_seconds ? 0.0 : 1.0 - busy / wall_seconds;
 }
-
-/// Per-run interpreter comm state: one tag mailbox per lane (SEND posts,
-/// RECV blocks) and shared barrier arrival counts. Waits slice their comm
-/// timeout by kAbortPollInterval so an abort anywhere unblocks them fast.
-struct ScheduleExecutor::TokenBoxes {
-  struct Box {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::multiset<int> tags;
-  };
-
-  explicit TokenBoxes(int num_lanes) : boxes(static_cast<std::size_t>(num_lanes)) {}
-
-  std::vector<Box> boxes;
-  std::mutex barrier_mutex;
-  std::condition_variable barrier_cv;
-  std::map<int, int> barrier_arrivals;  // barrier id -> lanes arrived
-
-  void post(int lane, int tag) {
-    Box& box = boxes[static_cast<std::size_t>(lane)];
-    {
-      const std::lock_guard<std::mutex> lock(box.mutex);
-      box.tags.insert(tag);
-    }
-    box.cv.notify_all();
-  }
-
-  void wait(int lane, int tag, const AbortToken& token, const std::string& context) {
-    Box& box = boxes[static_cast<std::size_t>(lane)];
-    const auto t0 = Clock::now();
-    const auto deadline = t0 + default_comm_timeout();
-    std::unique_lock<std::mutex> lock(box.mutex);
-    for (;;) {
-      const auto it = box.tags.find(tag);
-      if (it != box.tags.end()) {
-        box.tags.erase(it);
-        return;
-      }
-      token.throw_if_aborted(context);
-      if (Clock::now() >= deadline) {
-        throw DeadlockError("interpreter RECV timed out: " + context);
-      }
-      box.cv.wait_for(lock, kAbortPollInterval);
-    }
-  }
-
-  void barrier(int id, int num_lanes, const AbortToken& token, const std::string& context) {
-    std::unique_lock<std::mutex> lock(barrier_mutex);
-    const int arrived = ++barrier_arrivals[id];
-    if (arrived >= num_lanes) {
-      barrier_cv.notify_all();
-      return;
-    }
-    const auto deadline = Clock::now() + default_comm_timeout();
-    while (barrier_arrivals[id] < num_lanes) {
-      token.throw_if_aborted(context);
-      if (Clock::now() >= deadline) {
-        throw DeadlockError("interpreter BARRIER timed out: " + context);
-      }
-      barrier_cv.wait_for(lock, kAbortPollInterval);
-    }
-  }
-};
 
 ScheduleExecutor::ScheduleExecutor(PipelineSchedule schedule, int total_threads)
     : schedule_(std::move(schedule)) {
@@ -122,7 +39,6 @@ ScheduleExecutor::ScheduleExecutor(PipelineSchedule schedule, int total_threads)
   program_ = program::compile_schedule(schedule_);
   program::verify_program_or_throw(program_, &schedule_);
   sequences_ = program::device_sequences(program_);
-  backend_ = backend_from_env();
 
   // Partition the intra-op thread budget across the device threads.
   const int total = total_threads > 0 ? total_threads : parallel::num_threads();
@@ -179,81 +95,77 @@ void ScheduleExecutor::set_program(program::CompiledProgram prog) {
   program_ = std::move(prog);
 }
 
-namespace {
+struct ScheduleExecutor::Run {
+  std::shared_ptr<AbortToken> token;
+  std::unique_ptr<Watchdog> watchdog;
+  Clock::time_point t0;
+};
 
-/// The per-op dispatch protocol shared by both backends: abort check,
-/// watchdog heartbeat, fault injection, fence attribution, compute timing.
-void dispatch_op(OpRunner& runner, const Op& op, int device, AbortToken& token,
-                 Watchdog* watchdog, FaultInjector* injector, guard::NanFence* fence,
-                 double& compute_seconds) {
-  // Devices busy computing (not blocked in a wait) still stop at the next
-  // op boundary after a peer fails.
-  token.throw_if_aborted("device " + std::to_string(device) + " before op '" + op.label +
-                         "'");
-  if (watchdog != nullptr) watchdog->heartbeat(device, op.id);
-  if (injector != nullptr) injector->on_op(device, op.id, op.label, &token);
-  if (fence != nullptr && fence->active()) fence->begin_op(device, op.label, op.microbatch);
-  if (op.stream == Stream::Compute) {
-    const auto op_t0 = Clock::now();
-    runner.run_op(op);
-    compute_seconds += seconds_since(op_t0);
-  } else {
-    runner.run_op(op);
+ScheduleExecutor::Run ScheduleExecutor::begin_run(int lane) {
+  const int p = schedule_.num_devices;
+  stats_.wall_seconds = 0.0;
+  stats_.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
+  watchdog_report_.clear();
+
+  Run run;
+  // A run over an already-aborted token would have every comm wait throw
+  // immediately; the owner must rebuild (or reset) first.
+  run.token = abort_ != nullptr ? abort_ : std::make_shared<AbortToken>();
+  VOCAB_CHECK(!run.token->aborted(),
+              "executor started on an aborted runtime: " << run.token->reason().what
+                                                         << " — rebuild before retrying");
+  if (watchdog_enabled_) {
+    run.watchdog = std::make_unique<Watchdog>(
+        p, watchdog_config_, run.token,
+        [this](int device, int op_id) {
+          const Op& op = schedule_.op(op_id);
+          return "op '" + op.label + "' (id " + std::to_string(op_id) + ", " +
+                 to_string(op.kind) + ") on device " + std::to_string(device);
+        },
+        comm_snapshot_);
+    if (peer_probe_) run.watchdog->set_peer_probe(peer_probe_);
+    // In lane mode the other lanes live in other processes and never
+    // heartbeat here; the local watchdog only monitors this lane (peer death
+    // is the transport's heartbeat monitor's job).
+    for (int d = 0; d < p; ++d) {
+      if (lane >= 0 && d != lane) run.watchdog->mark_done(d);
+    }
+    run.watchdog->start();
   }
+  run.t0 = Clock::now();
+  return run;
 }
 
-}  // namespace
-
-void ScheduleExecutor::run_structs_lane(OpRunner& runner, int device, Watchdog* watchdog,
-                                        AbortToken& token, double& compute_seconds,
-                                        int& current_op) {
-  for (const int id : sequences_[static_cast<std::size_t>(device)]) {
-    current_op = id;
-    dispatch_op(runner, schedule_.op(id), device, token, watchdog, injector_.get(),
-                fence_.get(), compute_seconds);
+void ScheduleExecutor::end_run(Run& run) {
+  if (run.watchdog != nullptr) {
+    run.watchdog->stop();
+    watchdog_report_ = run.watchdog->last_report();
   }
+  stats_.wall_seconds = seconds_since(run.t0);
 }
 
-void ScheduleExecutor::run_program_lane(OpRunner& runner, int device, Watchdog* watchdog,
-                                        AbortToken& token, TokenBoxes& boxes,
-                                        double& compute_seconds, int& current_op) {
-  const std::vector<program::Instr>& code = program_.lanes[static_cast<std::size_t>(device)];
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    const program::Instr& in = code[pc];
-    switch (in.op) {
-      case program::Opcode::kCall:
-        current_op = in.a;
-        dispatch_op(runner, schedule_.op(in.a), device, token, watchdog, injector_.get(),
-                    fence_.get(), compute_seconds);
-        break;
-      case program::Opcode::kColl:
-        // The OpRunner rendezvouses collective members itself (DeviceGroup);
-        // the instruction only fixes this lane's issue position.
-        current_op = in.b;
-        dispatch_op(runner, schedule_.op(in.b), device, token, watchdog, injector_.get(),
-                    fence_.get(), compute_seconds);
-        break;
-      case program::Opcode::kSend:
-        boxes.post(in.b, in.a);
-        break;
-      case program::Opcode::kRecv:
-        boxes.wait(device, in.a, token,
-                   "device " + std::to_string(device) + " pc " + std::to_string(pc) +
-                       " RECV tag " + std::to_string(in.a) + " from lane " +
-                       std::to_string(in.b));
-        break;
-      case program::Opcode::kAlloc:
-      case program::Opcode::kFree:
-        // Memory accounting instructions carry no runtime action here; the
-        // program verifier has already proven their balance and peak.
-        break;
-      case program::Opcode::kBarrier:
-        boxes.barrier(in.a, schedule_.num_devices, token,
-                      "device " + std::to_string(device) + " pc " + std::to_string(pc) +
-                          " BARRIER " + std::to_string(in.a));
-        break;
-      case program::Opcode::kHalt:
-        return;
+void ScheduleExecutor::run_device(OpRunner& runner, int device, Watchdog* watchdog,
+                                  AbortToken& token, double& compute_seconds, int& current_op) {
+  for (const program::Instr& in : program_.lanes[static_cast<std::size_t>(device)]) {
+    if (in.op == program::Opcode::kHalt) return;
+    if (in.op != program::Opcode::kCall && in.op != program::Opcode::kColl) continue;
+    // A COLL's op rendezvouses with its group inside the OpRunner
+    // (DeviceGroup); the instruction only fixes this lane's issue position.
+    current_op = in.op == program::Opcode::kCall ? in.a : in.b;
+    const Op& op = schedule_.op(current_op);
+    // Devices busy computing (not blocked in a wait) still stop at the next
+    // op boundary after a peer fails.
+    token.throw_if_aborted("device " + std::to_string(device) + " before op '" + op.label +
+                           "'");
+    if (watchdog != nullptr) watchdog->heartbeat(device, op.id);
+    if (injector_ != nullptr) injector_->on_op(device, op.id, op.label, &token);
+    if (fence_ != nullptr && fence_->active()) fence_->begin_op(device, op.label, op.microbatch);
+    if (op.stream == Stream::Compute) {
+      const auto op_t0 = Clock::now();
+      runner.run_op(op);
+      compute_seconds += seconds_since(op_t0);
+    } else {
+      runner.run_op(op);
     }
   }
 }
@@ -262,106 +174,31 @@ void ScheduleExecutor::run_lane(OpRunner& runner, int device) {
   const int p = schedule_.num_devices;
   VOCAB_CHECK(device >= 0 && device < p, "lane device " << device << " out of range [0, " << p
                                                         << ")");
-  VOCAB_CHECK(backend_ == ExecutorBackend::kStructs,
-              "run_lane requires the structs backend: the program interpreter's token "
-              "mailboxes are in-process and cannot span worker processes");
-  stats_.wall_seconds = 0.0;
-  stats_.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
-  watchdog_report_.clear();
-
-  const std::shared_ptr<AbortToken> token =
-      abort_ != nullptr ? abort_ : std::make_shared<AbortToken>();
-  VOCAB_CHECK(!token->aborted(),
-              "executor started on an aborted runtime: " << token->reason().what
-                                                         << " — rebuild before retrying");
-
-  std::unique_ptr<Watchdog> watchdog;
-  if (watchdog_enabled_) {
-    watchdog = std::make_unique<Watchdog>(
-        p, watchdog_config_, token,
-        [this](int d, int op_id) {
-          const Op& op = schedule_.op(op_id);
-          return "op '" + op.label + "' (id " + std::to_string(op_id) + ", " +
-                 to_string(op.kind) + ") on device " + std::to_string(d);
-        },
-        comm_snapshot_);
-    if (peer_probe_) watchdog->set_peer_probe(peer_probe_);
-    // The other lanes live in other processes and never heartbeat here; the
-    // local watchdog only monitors this lane (peer death is the transport's
-    // heartbeat monitor's job).
-    for (int d = 0; d < p; ++d) {
-      if (d != device) watchdog->mark_done(d);
-    }
-    watchdog->start();
-  }
-
-  const auto t0 = Clock::now();
+  Run run = begin_run(device);
   parallel::ScopedPool scope(
       pools_.empty() ? nullptr : pools_[static_cast<std::size_t>(device)].get());
   double compute = 0.0;
   int current_op = -1;
+  std::exception_ptr error;
   try {
-    run_structs_lane(runner, device, watchdog.get(), *token, compute, current_op);
-    if (watchdog != nullptr) watchdog->mark_done(device);
+    run_device(runner, device, run.watchdog.get(), *run.token, compute, current_op);
   } catch (const AbortedError&) {
-    if (watchdog != nullptr) {
-      watchdog->mark_done(device);
-      watchdog->stop();
-      watchdog_report_ = watchdog->last_report();
-    }
-    stats_.compute_seconds[static_cast<std::size_t>(device)] = compute;
-    stats_.wall_seconds = seconds_since(t0);
-    throw;
+    error = std::current_exception();
   } catch (const std::exception& e) {
-    token->abort(AbortReason{device, current_op, e.what()});
-    if (watchdog != nullptr) {
-      watchdog->mark_done(device);
-      watchdog->stop();
-      watchdog_report_ = watchdog->last_report();
-    }
-    stats_.compute_seconds[static_cast<std::size_t>(device)] = compute;
-    stats_.wall_seconds = seconds_since(t0);
-    throw;
+    run.token->abort(AbortReason{device, current_op, e.what()});
+    error = std::current_exception();
   }
-  if (watchdog != nullptr) {
-    watchdog->stop();
-    watchdog_report_ = watchdog->last_report();
-  }
+  if (run.watchdog != nullptr) run.watchdog->mark_done(device);
   stats_.compute_seconds[static_cast<std::size_t>(device)] = compute;
-  stats_.wall_seconds = seconds_since(t0);
+  end_run(run);
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 void ScheduleExecutor::run(OpRunner& runner) {
   const int p = schedule_.num_devices;
-  stats_.wall_seconds = 0.0;
-  stats_.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
-  watchdog_report_.clear();
-
-  // A run over an already-aborted token would have every comm wait throw
-  // immediately; the owner must rebuild (or reset) first.
-  const std::shared_ptr<AbortToken> token =
-      abort_ != nullptr ? abort_ : std::make_shared<AbortToken>();
-  VOCAB_CHECK(!token->aborted(),
-              "executor started on an aborted runtime: " << token->reason().what
-                                                         << " — rebuild before retrying");
-
-  std::unique_ptr<Watchdog> watchdog;
-  if (watchdog_enabled_) {
-    watchdog = std::make_unique<Watchdog>(
-        p, watchdog_config_, token,
-        [this](int device, int op_id) {
-          const Op& op = schedule_.op(op_id);
-          return "op '" + op.label + "' (id " + std::to_string(op_id) + ", " +
-                 to_string(op.kind) + ") on device " + std::to_string(device);
-        },
-        comm_snapshot_);
-    if (peer_probe_) watchdog->set_peer_probe(peer_probe_);
-    watchdog->start();
-  }
-
-  // Fresh interpreter comm state per run: tokens from a previous (possibly
-  // aborted) run must not satisfy this run's RECVs.
-  TokenBoxes boxes(p);
+  Run run = begin_run(/*lane=*/-1);
+  Watchdog* watchdog = run.watchdog.get();
+  AbortToken& token = *run.token;
 
   // Per-device outcome of this run. kKilled threads raise no abort: the
   // fault model for a silently-dying rank is that only the watchdog's stall
@@ -370,7 +207,6 @@ void ScheduleExecutor::run(OpRunner& runner) {
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(p));
   std::vector<Outcome> outcomes(static_cast<std::size_t>(p), Outcome::kOk);
 
-  const auto t0 = Clock::now();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(p));
   for (int d = 0; d < p; ++d) {
@@ -381,11 +217,7 @@ void ScheduleExecutor::run(OpRunner& runner) {
       double compute = 0.0;
       int current_op = -1;
       try {
-        if (backend_ == ExecutorBackend::kProgram) {
-          run_program_lane(runner, d, watchdog.get(), *token, boxes, compute, current_op);
-        } else {
-          run_structs_lane(runner, d, watchdog.get(), *token, compute, current_op);
-        }
+        run_device(runner, d, watchdog, token, compute, current_op);
         if (watchdog != nullptr) watchdog->mark_done(d);
       } catch (const ThreadKilledFault&) {
         // Simulated silent thread death: no abort, no mark_done — the
@@ -402,13 +234,13 @@ void ScheduleExecutor::run(OpRunner& runner) {
         // losing abort means this exception is secondary fallout (e.g. a
         // poisoned-communicator error raised after a peer already aborted).
         outcomes[static_cast<std::size_t>(d)] =
-            token->abort(AbortReason{d, current_op, e.what()}) ? Outcome::kFailed
-                                                               : Outcome::kAborted;
+            token.abort(AbortReason{d, current_op, e.what()}) ? Outcome::kFailed
+                                                              : Outcome::kAborted;
         if (watchdog != nullptr) watchdog->mark_done(d);
       } catch (...) {
         errors[static_cast<std::size_t>(d)] = std::current_exception();
         outcomes[static_cast<std::size_t>(d)] =
-            token->abort(AbortReason{d, current_op, "non-standard exception"})
+            token.abort(AbortReason{d, current_op, "non-standard exception"})
                 ? Outcome::kFailed
                 : Outcome::kAborted;
         if (watchdog != nullptr) watchdog->mark_done(d);
@@ -417,11 +249,7 @@ void ScheduleExecutor::run(OpRunner& runner) {
     });
   }
   for (auto& t : threads) t.join();
-  if (watchdog != nullptr) {
-    watchdog->stop();
-    watchdog_report_ = watchdog->last_report();
-  }
-  stats_.wall_seconds = seconds_since(t0);
+  end_run(run);
 
   // Rethrow the originating failure, not a peer's secondary AbortedError.
   // Priority: a real op failure, then a silent kill, then the first abort

@@ -26,25 +26,17 @@
 // incomplete op in the order always has its producers completed, so the
 // execution cannot deadlock.
 //
-// Backends
-// --------
+// Execution
+// ---------
 // The executor compiles its schedule to per-device bytecode at construction
 // and statically re-verifies the program against the source (translation
-// validation; see src/program). run() then dispatches through one of two
-// backends, selected by VOCAB_EXECUTOR (structs|program) or set_backend():
-//
-//   kStructs  — walk the projected op-id sequences directly (historical
-//               path). Cross-device ordering is implicit: it emerges from
-//               the trainer's blocking channel recvs.
-//   kProgram  — interpret the compiled bytecode: CALL/COLL dispatch the
-//               source op to the OpRunner exactly as kStructs does, while
-//               SEND/RECV additionally enforce every cross-device dependency
-//               edge through abort-aware token mailboxes. Both backends
-//               dispatch the identical per-device kernel sequence (they are
-//               projections of the same certified linearization), so the
-//               numerics are bit-identical; tokens only add synchronization,
-//               and every token edge points backward in the linearization,
-//               so no new deadlock is introduced.
+// validation; see src/program). run() and run_lane() share one lane loop
+// that walks the compiled program: CALL/COLL dispatch the source op to the
+// OpRunner. SEND/RECV/BARRIER/ALLOC/FREE are static facts the program
+// verifier has proved — every cross-device edge points backward in the
+// certified linearization and memory balances — and at run time the
+// trainer's tag-addressed channels and collective group already enforce
+// them, so the loop spends no synchronization of its own on them.
 //
 // Thread-pool partitioning
 // ------------------------
@@ -95,16 +87,6 @@ struct ExecutorStats {
   [[nodiscard]] double idle_fraction(int device) const;
 };
 
-/// How run() dispatches ops. Bit-identical numerics either way (see the
-/// header comment); kProgram additionally enforces cross-device dependency
-/// edges through SEND/RECV token mailboxes.
-enum class ExecutorBackend {
-  kStructs,  ///< walk the projected op-id sequences (historical path)
-  kProgram,  ///< interpret the compiled, statically verified bytecode
-};
-
-[[nodiscard]] const char* to_string(ExecutorBackend backend);
-
 /// Per-device dispatch engine for one verified PipelineSchedule. Construct
 /// once per (schedule, thread budget) and run() once per training iteration.
 class ScheduleExecutor {
@@ -113,8 +95,7 @@ class ScheduleExecutor {
   /// compiles it to per-device bytecode and statically re-verifies the
   /// program against the source (translation validation). `total_threads`
   /// is the machine width to partition across device threads; <= 0 uses the
-  /// process ThreadPool's width. The initial backend comes from
-  /// VOCAB_EXECUTOR (structs|program, default structs).
+  /// process ThreadPool's width.
   explicit ScheduleExecutor(PipelineSchedule schedule, int total_threads = 0);
   ~ScheduleExecutor();
 
@@ -137,11 +118,9 @@ class ScheduleExecutor {
   /// thread. This is the multi-process entry point: under the shm transport
   /// each OS process is one pipeline lane and drives exactly one device,
   /// with cross-lane ordering enforced by the transport's blocking channel
-  /// recvs and collective rendezvous instead of sibling threads. Structs
-  /// backend only — the program interpreter's token mailboxes are in-process
-  /// and cannot span workers. Failure protocol matches run(): the first
-  /// exception aborts the shared token (which the shm transport mirrors to
-  /// every peer process) and is rethrown.
+  /// recvs and collective rendezvous instead of sibling threads. Failure
+  /// protocol matches run(): the first exception aborts the shared token
+  /// (which the shm transport mirrors to every peer process) and is rethrown.
   void run_lane(OpRunner& runner, int device);
 
   /// Share the runtime's abort token (also wired into the trainer's channels
@@ -176,15 +155,10 @@ class ScheduleExecutor {
   /// Report of the most recent run()'s watchdog firing (empty if none).
   [[nodiscard]] const std::string& last_watchdog_report() const { return watchdog_report_; }
 
-  /// Select the dispatch backend for subsequent run() calls (checked at run
-  /// time, not construction, so cached executors can be switched).
-  void set_backend(ExecutorBackend backend) { backend_ = backend; }
-  [[nodiscard]] ExecutorBackend backend() const { return backend_; }
-
   /// Replace the compiled program with `prog` (e.g. one loaded from disk).
   /// The program is statically re-verified against this executor's schedule
   /// and must dispatch the same per-device kernel sequences; throws
-  /// CheckError otherwise. Subsequent kProgram runs interpret it.
+  /// CheckError otherwise. Subsequent runs execute it.
   void set_program(program::CompiledProgram prog);
 
   [[nodiscard]] const PipelineSchedule& schedule() const { return schedule_; }
@@ -198,17 +172,20 @@ class ScheduleExecutor {
   [[nodiscard]] int threads_per_device() const { return threads_per_device_; }
 
  private:
-  struct TokenBoxes;  // per-device RECV mailboxes (kProgram backend)
+  struct Run;  // per-run token, watchdog and start time
 
-  void run_structs_lane(OpRunner& runner, int device, Watchdog* watchdog,
-                        AbortToken& token, double& compute_seconds, int& current_op);
-  void run_program_lane(OpRunner& runner, int device, Watchdog* watchdog,
-                        AbortToken& token, TokenBoxes& boxes,
-                        double& compute_seconds, int& current_op);
+  /// Reset the stats, resolve the abort token and start the watchdog (over
+  /// every device, or only `lane` when >= 0); shared by run() and run_lane().
+  Run begin_run(int lane);
+  /// Stop the watchdog, keep its report and record the wall time.
+  void end_run(Run& run);
+  /// The one lane loop: walk `device`'s compiled lane, dispatching each
+  /// CALL/COLL instruction's op to `runner`.
+  void run_device(OpRunner& runner, int device, Watchdog* watchdog, AbortToken& token,
+                  double& compute_seconds, int& current_op);
 
   PipelineSchedule schedule_;
   program::CompiledProgram program_;        // compiled + statically verified
-  ExecutorBackend backend_ = ExecutorBackend::kStructs;
   std::vector<std::vector<int>> sequences_;  // per device, op ids in issue order
   std::vector<std::unique_ptr<parallel::ThreadPool>> pools_;  // per device; empty when serial
   int threads_per_device_ = 1;

@@ -37,10 +37,11 @@ std::vector<int> ScheduleBuilder::add_collective(const std::vector<int>& devices
                                                  const std::vector<std::vector<int>>& per_device_deps,
                                                  const std::vector<double>& slots) {
   VOCAB_CHECK(slots.size() == devices.size(), "per-member slot arity mismatch");
-  VOCAB_CHECK(devices.size() >= 2, "collective '" << label << "' needs >= 2 participants");
+  VOCAB_CHECK(!devices.empty(), "collective '" << label << "' needs a participant");
   VOCAB_CHECK(per_device_deps.empty() || per_device_deps.size() == devices.size(),
               "per_device_deps arity mismatch for collective '" << label << "'");
-  const int cid = next_collective_++;
+  // A lone member has nobody to rendezvous with: it stays an ungrouped op.
+  const int cid = devices.size() >= 2 ? next_collective_++ : -1;
   std::vector<int> ids;
   ids.reserve(devices.size());
   for (std::size_t i = 0; i < devices.size(); ++i) {

@@ -25,7 +25,8 @@ class ScheduleBuilder {
 
   /// Create one collective group: an op on each device of `devices` with the
   /// given duration and per-device dependency list. Returns the member ids
-  /// (parallel to `devices`).
+  /// (parallel to `devices`). A single-device "group" (one-device pipelines)
+  /// emits a plain Collective-kind op with no group id.
   std::vector<int> add_collective(const std::vector<int>& devices, Stream stream,
                                   double duration, int microbatch, const std::string& label,
                                   const std::vector<std::vector<int>>& per_device_deps,

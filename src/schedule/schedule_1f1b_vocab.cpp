@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "common/error.h"
@@ -206,6 +207,180 @@ VocabLayout compute_layout(const CostModel& cm, int p, OutputAlgo algo,
   return lay;
 }
 
+/// The passes of one microbatch's vocabulary-parallel building block, in the
+/// order a lone microbatch would issue them.
+enum class Pass { i, iAR, F, C0, S, C1, T, C2, B, jBC, j };
+
+/// Issue slot of `pass` for microbatch `mb` on device `d`. Collectives are
+/// asked once per microbatch (d = 0) and share that slot on every member.
+using SlotFn = std::function<double(Pass pass, int d, int mb)>;
+
+/// Emit every microbatch's building block — the same ops, dependencies and
+/// memory accounting for every vocab schedule; only `slot` (hence each lane's
+/// issue order) differs between 1F1B-vocab and the sequential naive order.
+PipelineSchedule emit_vocab_schedule(const CostModel& cm, int p, OutputAlgo algo,
+                                     const std::string& name, const SlotFn& slot) {
+  const int m = cm.config().num_microbatches;
+  const LayerAssignment assign = uniform_assignment(cm.config().num_layers, p);
+  const int layers = assign.layers_per_stage[0];
+  ScheduleBuilder b(name, p, m);
+
+  const double tF = cm.time_f(layers);
+  const double tB = cm.time_b_full(layers);
+  const double tS = cm.time_output_s(algo, p);
+  const double tT = cm.time_output_t(algo, p);
+  const double tIF = cm.time_input_shard_fwd(p);
+  const double tIB = cm.time_input_shard_bwd(p);
+
+  std::vector<int> all_devices(static_cast<std::size_t>(p));
+  std::iota(all_devices.begin(), all_devices.end(), 0);
+
+  const double act = cm.activation_bytes_per_mb(layers);
+  const double out_state = cm.output_shard_state_bytes(algo, p);
+  const double in_state = cm.activation_bytes();  // held input-layer output
+
+  for (int mb = 0; mb < m; ++mb) {
+    // --- input layer forward (well ahead of F(mb, 0), Appendix C) ----------
+    std::vector<int> if_ids(static_cast<std::size_t>(p));
+    for (int d = 0; d < p; ++d) {
+      Op op;
+      op.device = d;
+      op.kind = OpKind::InputFwd;
+      op.microbatch = mb;
+      op.duration = tIF;
+      op.label = "i" + std::to_string(mb);
+      op.alloc_bytes = in_state;
+      if_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot(Pass::i, d, mb));
+    }
+    std::vector<std::vector<int>> iar_deps(static_cast<std::size_t>(p));
+    for (int d = 0; d < p; ++d) iar_deps[static_cast<std::size_t>(d)] = {if_ids[static_cast<std::size_t>(d)]};
+    const std::vector<int> iar = b.add_collective(
+        all_devices, Stream::CommAlt, cm.time_input_allreduce(p), mb, "iAR" + std::to_string(mb),
+        iar_deps, slot(Pass::iAR, 0, mb));
+
+    // --- transformer forwards ------------------------------------------------
+    std::vector<int> f_ids(static_cast<std::size_t>(p));
+    for (int d = 0; d < p; ++d) {
+      Op op;
+      op.device = d;
+      op.kind = OpKind::Forward;
+      op.microbatch = mb;
+      op.duration = tF;
+      op.label = "F" + std::to_string(mb);
+      op.alloc_bytes = act;
+      if (d == 0) {
+        op.deps.push_back(iar[0]);
+      } else {
+        op.deps.push_back(f_ids[static_cast<std::size_t>(d - 1)]);
+      }
+      f_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot(Pass::F, d, mb));
+    }
+    // The held input-layer output is dropped once consumed / all-reduced.
+    for (int d = 0; d < p; ++d) {
+      b.add_free(d == 0 ? f_ids[0] : iar[static_cast<std::size_t>(d)], in_state);
+    }
+
+    // --- C0: broadcast X to all shards --------------------------------------
+    std::vector<std::vector<int>> c0_deps(static_cast<std::size_t>(p),
+                                          {f_ids[static_cast<std::size_t>(p - 1)]});
+    const std::vector<int> c0 =
+        b.add_collective(all_devices, Stream::Comm, cm.time_x_broadcast(p), mb,
+                         "C0." + std::to_string(mb), c0_deps, slot(Pass::C0, 0, mb));
+
+    // --- S pass on every device ----------------------------------------------
+    std::vector<int> s_ids(static_cast<std::size_t>(p));
+    for (int d = 0; d < p; ++d) {
+      Op op;
+      op.device = d;
+      op.kind = OpKind::OutputS;
+      op.microbatch = mb;
+      op.duration = tS;
+      op.label = "S" + std::to_string(mb);
+      op.alloc_bytes = out_state;
+      op.deps.push_back(c0[static_cast<std::size_t>(d)]);
+      s_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot(Pass::S, d, mb));
+    }
+
+    // --- C1 barrier ------------------------------------------------------------
+    std::vector<std::vector<int>> c1_deps(static_cast<std::size_t>(p));
+    for (int d = 0; d < p; ++d) c1_deps[static_cast<std::size_t>(d)] = {s_ids[static_cast<std::size_t>(d)]};
+    const double c1_time = algo == OutputAlgo::Alg1
+                               ? cm.time_stats_allreduce(p)
+                               : cm.time_stats_allreduce(p) + cm.time_gradx_allreduce(p);
+    const std::vector<int> c1 =
+        b.add_collective(all_devices, Stream::Comm, c1_time, mb, "C1." + std::to_string(mb),
+                         c1_deps, slot(Pass::C1, 0, mb));
+
+    // --- T passes / C2 / backwards ----------------------------------------------
+    std::vector<int> t_ids(static_cast<std::size_t>(p));
+    std::vector<int> b_ids(static_cast<std::size_t>(p));
+    auto make_t = [&](int d) {
+      Op op;
+      op.device = d;
+      op.kind = OpKind::OutputT;
+      op.microbatch = mb;
+      op.duration = tT;
+      op.label = "T" + std::to_string(mb);
+      op.free_bytes = out_state;
+      op.deps.push_back(c1[static_cast<std::size_t>(d)]);
+      t_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot(Pass::T, d, mb));
+    };
+    auto make_b = [&](int d, int gate_op) {
+      Op op;
+      op.device = d;
+      op.kind = OpKind::BackwardFull;
+      op.microbatch = mb;
+      op.duration = tB;
+      op.label = "B" + std::to_string(mb);
+      op.free_bytes = act;
+      op.deps.push_back(f_ids[static_cast<std::size_t>(d)]);
+      op.deps.push_back(gate_op);
+      b_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot(Pass::B, d, mb));
+    };
+
+    if (algo == OutputAlgo::Alg1) {
+      for (int d = 0; d < p; ++d) make_t(d);
+      std::vector<std::vector<int>> c2_deps(static_cast<std::size_t>(p));
+      for (int d = 0; d < p; ++d) c2_deps[static_cast<std::size_t>(d)] = {t_ids[static_cast<std::size_t>(d)]};
+      const std::vector<int> c2 =
+          b.add_collective(all_devices, Stream::Comm, cm.time_gradx_allreduce(p), mb,
+                           "C2." + std::to_string(mb), c2_deps, slot(Pass::C2, 0, mb));
+      for (int d = p - 1; d >= 0; --d) {
+        make_b(d, d == p - 1 ? c2[static_cast<std::size_t>(d)]
+                             : b_ids[static_cast<std::size_t>(d + 1)]);
+      }
+    } else {
+      for (int d = p - 1; d >= 0; --d) {
+        make_b(d, d == p - 1 ? c1[static_cast<std::size_t>(d)]
+                             : b_ids[static_cast<std::size_t>(d + 1)]);
+      }
+      for (int d = 0; d < p; ++d) make_t(d);
+    }
+
+    // --- input layer backward ------------------------------------------------
+    std::vector<std::vector<int>> ibb_deps(static_cast<std::size_t>(p), {b_ids[0]});
+    const std::vector<int> ibb =
+        b.add_collective(all_devices, Stream::CommAlt, cm.time_x_broadcast(p), mb,
+                         "jBC" + std::to_string(mb), ibb_deps, slot(Pass::jBC, 0, mb));
+    for (int d = 0; d < p; ++d) {
+      Op op;
+      op.device = d;
+      op.kind = OpKind::InputBwd;
+      op.microbatch = mb;
+      op.duration = tIB;
+      op.label = "j" + std::to_string(mb);
+      op.deps.push_back(ibb[static_cast<std::size_t>(d)]);
+      b.add(std::move(op), slot(Pass::j, d, mb));
+    }
+  }
+
+  // Resident bytes: uniform transformer params + both vocab shards.
+  std::vector<double> base_bytes(static_cast<std::size_t>(p),
+                                 layers * cm.transformer_layer_param_bytes() +
+                                     2.0 * cm.vocab_shard_param_bytes(p));
+  return b.finalize(std::move(base_bytes));
+}
+
 }  // namespace
 
 VocabBlockOffsets vocab_block_offsets(const CostModel& cm, int p, OutputAlgo algo) {
@@ -233,189 +408,86 @@ VocabBlockOffsets vocab_block_offsets(const CostModel& cm, int p, OutputAlgo alg
 
 PipelineSchedule build_1f1b_vocab(const CostModel& cm, int p, OutputAlgo algo,
                                   const std::string& name, int inserted_intervals) {
-  const int m = cm.config().num_microbatches;
-  VOCAB_CHECK(m >= p, "need at least p microbatches");
+  VOCAB_CHECK(cm.config().num_microbatches >= p, "need at least p microbatches");
   VOCAB_CHECK(p >= 2, "vocabulary parallelism needs >= 2 devices");
-  const LayerAssignment assign = uniform_assignment(cm.config().num_layers, p);
-  const int layers = assign.layers_per_stage[0];
-
-  const std::string sched_name =
-      name.empty() ? std::string("1f1b-") + to_string(algo) : name;
-  ScheduleBuilder b(sched_name, p, m);
-
+  const int layers = cm.config().num_layers / p;
   const VocabLayout lay = compute_layout(cm, p, algo, inserted_intervals);
-  const int gap = lay.gap;
   const double I = lay.interval;
   const double tF = cm.time_f(layers);
   const double tB = cm.time_b_full(layers);
   const double tS = cm.time_output_s(algo, p);
   const double tT = cm.time_output_t(algo, p);
-  const double tIF = cm.time_input_shard_fwd(p);
-  const double tIB = cm.time_input_shard_bwd(p);
-
-  std::vector<int> all_devices(static_cast<std::size_t>(p));
-  std::iota(all_devices.begin(), all_devices.end(), 0);
-
-  const double act = cm.activation_bytes_per_mb(layers);
-  const double out_state = cm.output_shard_state_bytes(algo, p);
-  const double in_state = cm.activation_bytes();  // held input-layer output
 
   // Device-local slot: the op's steady-state time under the packed layout.
-  auto slot_of = [&](int d, int mb, int lag, double pos) {
-    return d * tF + (mb + lag) * I + pos;
-  };
-
-  for (int mb = 0; mb < m; ++mb) {
-    // --- input layer forward (well ahead of F(mb, 0), Appendix C) ----------
-    std::vector<int> if_ids(static_cast<std::size_t>(p));
-    for (int d = 0; d < p; ++d) {
-      const DeviceLayout& dl = lay.devices[static_cast<std::size_t>(d)];
-      Op op;
-      op.device = d;
-      op.kind = OpKind::InputFwd;
-      op.microbatch = mb;
-      op.duration = tIF;
-      op.label = "i" + std::to_string(mb);
-      op.alloc_bytes = in_state;
-      if_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot_of(d, mb, dl.lag_i, dl.pos_i));
-    }
-    std::vector<std::vector<int>> iar_deps(static_cast<std::size_t>(p));
-    for (int d = 0; d < p; ++d) iar_deps[static_cast<std::size_t>(d)] = {if_ids[static_cast<std::size_t>(d)]};
-    const std::vector<int> iar = b.add_collective(
-        all_devices, Stream::CommAlt, cm.time_input_allreduce(p), mb, "iAR" + std::to_string(mb),
-        iar_deps, (mb - 1) * I);
-
-    // --- transformer forwards ------------------------------------------------
-    std::vector<int> f_ids(static_cast<std::size_t>(p));
-    for (int d = 0; d < p; ++d) {
-      Op op;
-      op.device = d;
-      op.kind = OpKind::Forward;
-      op.microbatch = mb;
-      op.duration = tF;
-      op.label = "F" + std::to_string(mb);
-      op.alloc_bytes = act;
-      if (d == 0) {
-        op.deps.push_back(iar[0]);
-      } else {
-        op.deps.push_back(f_ids[static_cast<std::size_t>(d - 1)]);
-      }
-      f_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot_of(d, mb, 0, 0.0));
-    }
-    // The held input-layer output is dropped once consumed / all-reduced.
-    for (int d = 0; d < p; ++d) {
-      b.add_free(d == 0 ? f_ids[0] : iar[static_cast<std::size_t>(d)], in_state);
-    }
-
-    // --- C0: broadcast X to all shards --------------------------------------
-    std::vector<std::vector<int>> c0_deps(static_cast<std::size_t>(p),
-                                          {f_ids[static_cast<std::size_t>(p - 1)]});
-    const std::vector<int> c0 =
-        b.add_collective(all_devices, Stream::Comm, cm.time_x_broadcast(p), mb,
-                         "C0." + std::to_string(mb), c0_deps, p * tF + mb * I);
-
-    // --- S pass on every device ----------------------------------------------
-    std::vector<int> s_ids(static_cast<std::size_t>(p));
-    for (int d = 0; d < p; ++d) {
-      const DeviceLayout& dl = lay.devices[static_cast<std::size_t>(d)];
-      Op op;
-      op.device = d;
-      op.kind = OpKind::OutputS;
-      op.microbatch = mb;
-      op.duration = tS;
-      op.label = "S" + std::to_string(mb);
-      op.alloc_bytes = out_state;
-      op.deps.push_back(c0[static_cast<std::size_t>(d)]);
-      s_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot_of(d, mb, dl.lag_s, dl.pos_s));
-    }
-
-    // --- C1 barrier ------------------------------------------------------------
-    std::vector<std::vector<int>> c1_deps(static_cast<std::size_t>(p));
-    for (int d = 0; d < p; ++d) c1_deps[static_cast<std::size_t>(d)] = {s_ids[static_cast<std::size_t>(d)]};
-    const double c1_time = algo == OutputAlgo::Alg1
-                               ? cm.time_stats_allreduce(p)
-                               : cm.time_stats_allreduce(p) + cm.time_gradx_allreduce(p);
-    const std::vector<int> c1 =
-        b.add_collective(all_devices, Stream::Comm, c1_time, mb, "C1." + std::to_string(mb),
-                         c1_deps, lay.s_global + tS + mb * I);
-
-    // --- T passes / C2 / backwards ----------------------------------------------
-    std::vector<int> t_ids(static_cast<std::size_t>(p));
-    std::vector<int> b_ids(static_cast<std::size_t>(p));
-    auto make_t = [&](int d) {
-      const DeviceLayout& dl = lay.devices[static_cast<std::size_t>(d)];
-      Op op;
-      op.device = d;
-      op.kind = OpKind::OutputT;
-      op.microbatch = mb;
-      op.duration = tT;
-      op.label = "T" + std::to_string(mb);
-      op.free_bytes = out_state;
-      op.deps.push_back(c1[static_cast<std::size_t>(d)]);
-      t_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot_of(d, mb, dl.lag_t, dl.pos_t));
-    };
-    auto make_b = [&](int d, int gate_op) {
-      const DeviceLayout& dl = lay.devices[static_cast<std::size_t>(d)];
-      Op op;
-      op.device = d;
-      op.kind = OpKind::BackwardFull;
-      op.microbatch = mb;
-      op.duration = tB;
-      op.label = "B" + std::to_string(mb);
-      op.free_bytes = act;
-      op.deps.push_back(f_ids[static_cast<std::size_t>(d)]);
-      op.deps.push_back(gate_op);
-      b_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot_of(d, mb, dl.b_lag, dl.b_pos));
-    };
-
-    if (algo == OutputAlgo::Alg1) {
-      for (int d = 0; d < p; ++d) make_t(d);
-      std::vector<std::vector<int>> c2_deps(static_cast<std::size_t>(p));
-      for (int d = 0; d < p; ++d) c2_deps[static_cast<std::size_t>(d)] = {t_ids[static_cast<std::size_t>(d)]};
+  const auto slot = [&](Pass pass, int d, int mb) {
+    const DeviceLayout& dl = lay.devices[static_cast<std::size_t>(d)];
+    const auto local = [&](int lag, double pos) { return d * tF + (mb + lag) * I + pos; };
+    switch (pass) {
+      case Pass::i: return local(dl.lag_i, dl.pos_i);
+      case Pass::iAR: return (mb - 1) * I;
+      case Pass::F: return local(0, 0.0);
+      case Pass::C0: return p * tF + mb * I;
+      case Pass::S: return local(dl.lag_s, dl.pos_s);
+      case Pass::C1: return lay.s_global + tS + mb * I;
+      case Pass::T: return local(dl.lag_t, dl.pos_t);
       // C2's comm-lane position must follow every device's T issue slot —
       // place it at the backward wave's start (gap intervals after S).
-      const std::vector<int> c2 =
-          b.add_collective(all_devices, Stream::Comm, cm.time_gradx_allreduce(p), mb,
-                           "C2." + std::to_string(mb), c2_deps,
-                           std::max(lay.s_global + gap * I - 0.5 * tT,
-                                    lay.s_global + tS + tT) +
-                               mb * I);
-      for (int d = p - 1; d >= 0; --d) {
-        make_b(d, d == p - 1 ? c2[static_cast<std::size_t>(d)]
-                             : b_ids[static_cast<std::size_t>(d + 1)]);
-      }
-    } else {
-      for (int d = p - 1; d >= 0; --d) {
-        make_b(d, d == p - 1 ? c1[static_cast<std::size_t>(d)]
-                             : b_ids[static_cast<std::size_t>(d + 1)]);
-      }
-      for (int d = 0; d < p; ++d) make_t(d);
+      case Pass::C2:
+        return std::max(lay.s_global + lay.gap * I - 0.5 * tT, lay.s_global + tS + tT) +
+               mb * I;
+      case Pass::B: return local(dl.b_lag, dl.b_pos);
+      case Pass::jBC: return lay.devices[0].global_b + tB + mb * I;
+      case Pass::j: return local(dl.lag_j, dl.pos_j);
     }
+    return 0.0;
+  };
+  return emit_vocab_schedule(cm, p, algo,
+                             name.empty() ? std::string("1f1b-") + to_string(algo) : name,
+                             slot);
+}
 
-    // --- input layer backward ------------------------------------------------
-    std::vector<std::vector<int>> ibb_deps(static_cast<std::size_t>(p), {b_ids[0]});
-    const std::vector<int> ibb =
-        b.add_collective(all_devices, Stream::CommAlt, cm.time_x_broadcast(p), mb,
-                         "jBC" + std::to_string(mb), ibb_deps,
-                         lay.devices[0].global_b + tB + mb * I);
-    for (int d = 0; d < p; ++d) {
-      const DeviceLayout& dl = lay.devices[static_cast<std::size_t>(d)];
-      Op op;
-      op.device = d;
-      op.kind = OpKind::InputBwd;
-      op.microbatch = mb;
-      op.duration = tIB;
-      op.label = "j" + std::to_string(mb);
-      op.deps.push_back(ibb[static_cast<std::size_t>(d)]);
-      b.add(std::move(op), slot_of(d, mb, dl.lag_j, dl.pos_j));
+PipelineSchedule build_naive_vocab(const CostModel& cm, int p, OutputAlgo algo,
+                                   const std::string& name) {
+  VOCAB_CHECK(algo == OutputAlgo::Alg1 || algo == OutputAlgo::Alg2,
+              "vocabulary-parallel schedules use Alg1 or Alg2");
+  const int layers = cm.config().num_layers / p;
+  const double tF = cm.time_f(layers);
+  const double tB = cm.time_b_full(layers);
+  const double tBC = cm.time_x_broadcast(p);
+
+  // One microbatch's serial timeline; microbatch mb starts once mb-1 has
+  // fully retired, so no lane ever holds two microbatches at once.
+  const double f0 = cm.time_input_shard_fwd(p) + cm.time_input_allreduce(p);
+  const double c0 = f0 + p * tF;
+  const double s = c0 + tBC;
+  const double c1 = s + cm.time_output_s(algo, p);
+  const double t = c1 + cm.time_stats_allreduce(p) +
+                   (algo == OutputAlgo::Alg2 ? cm.time_gradx_allreduce(p) : 0.0);
+  const double c2 = t + cm.time_output_t(algo, p);
+  const double b_last = algo == OutputAlgo::Alg1 ? c2 + cm.time_gradx_allreduce(p) : c2;
+  const double jbc = b_last + p * tB;
+  const double span = jbc + tBC + cm.time_input_shard_bwd(p);
+
+  const auto slot = [&](Pass pass, int d, int mb) {
+    double offset = 0.0;
+    switch (pass) {
+      case Pass::i: offset = 0.0; break;
+      case Pass::iAR: offset = cm.time_input_shard_fwd(p); break;
+      case Pass::F: offset = f0 + d * tF; break;
+      case Pass::C0: offset = c0; break;
+      case Pass::S: offset = s; break;
+      case Pass::C1: offset = c1; break;
+      case Pass::T: offset = t; break;
+      case Pass::C2: offset = c2; break;
+      case Pass::B: offset = b_last + (p - 1 - d) * tB; break;
+      case Pass::jBC: offset = jbc; break;
+      case Pass::j: offset = jbc + tBC; break;
     }
-  }
-
-  // Resident bytes: uniform transformer params + both vocab shards.
-  std::vector<double> base_bytes(static_cast<std::size_t>(p),
-                                 layers * cm.transformer_layer_param_bytes() +
-                                     2.0 * cm.vocab_shard_param_bytes(p));
-  return b.finalize(std::move(base_bytes));
+    return mb * span + offset;
+  };
+  return emit_vocab_schedule(cm, p, algo,
+                             name.empty() ? std::string("naive-") + to_string(algo) : name,
+                             slot);
 }
 
 }  // namespace vocab

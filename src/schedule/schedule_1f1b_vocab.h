@@ -29,6 +29,13 @@ PipelineSchedule build_1f1b_vocab(const CostModel& cm, int p, OutputAlgo algo,
                                   const std::string& name = "",
                                   int inserted_intervals = -1);
 
+/// The unpipelined baseline as a schedule: 1F1B-vocab's building block
+/// (i, iAR, F, C0, S, C1, T, C2, B, jBC, j) issued strictly one microbatch
+/// at a time — every op of microbatch mb precedes every op of mb+1 on each
+/// lane, so one microbatch is in flight. Any m >= 1 and p >= 1.
+PipelineSchedule build_naive_vocab(const CostModel& cm, int p, OutputAlgo algo,
+                                   const std::string& name = "");
+
 /// The building-block offsets used by the generator, exposed for the
 /// lifespan/interval analysis of Figures 9/10 (see building_block.h).
 struct VocabBlockOffsets {

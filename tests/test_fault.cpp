@@ -396,9 +396,10 @@ TEST(ExecutorAbort, MidScheduleThrowAbortsAllDevicesFast) {
 }
 
 TEST(ExecutorAbort, ExternalCancelPoisonsNaiveTrainer) {
-  // The naive (rendezvous-per-microbatch) path shares the same protocol: its
-  // channels and collectives observe the trainer's token, and a cancelled /
-  // failed token refuses further iterations until the owner rebuilds.
+  // The naive (one-microbatch-in-flight) schedule shares the same protocol:
+  // its channels and collectives observe the trainer's token, and a
+  // cancelled / failed token refuses further iterations until the owner
+  // rebuilds.
   const GptConfig cfg = fault_config();
   PipelineTrainer trainer(GptWeights::init(cfg, 21), /*p=*/2, OutputAlgo::Alg1,
                           PipelineFlavor::Naive);

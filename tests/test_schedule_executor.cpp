@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -254,6 +255,97 @@ TEST(ScheduledEquivalence, MicrobatchCountCanChangeBetweenIterations) {
     EXPECT_NEAR(pipe_loss, ref_loss, 5e-3f * (1.0f + std::abs(ref_loss))) << "m=" << m;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Naive parity: the unpipelined baseline (one microbatch in flight) must be
+// bit-identical to 1F1B-vocab with the same algorithm — same losses, same
+// exported weights. 1F1B-vocab is the reference because its per-device
+// backward accumulation order is microbatch order, like naive's; GPipe-vocab
+// accumulates in a different order and is not bitwise comparable.
+// ---------------------------------------------------------------------------
+
+struct NaiveCase {
+  int p;
+  OutputAlgo algo;
+  bool tied;
+  bool clip;
+  bool adam;
+  bool bf16;
+};
+
+std::string naive_case_name(const testing::TestParamInfo<NaiveCase>& info) {
+  const NaiveCase& c = info.param;
+  return "p" + std::to_string(c.p) + (c.algo == OutputAlgo::Alg1 ? "_alg1" : "_alg2") +
+         (c.tied ? "_tied" : "_untied") + (c.clip ? "_clip" : "_noclip") +
+         (c.adam ? "_adam" : "_sgd") + (c.bf16 ? "_bf16" : "");
+}
+
+void expect_bitwise_equal(const GptWeights& a, const GptWeights& b) {
+  EXPECT_EQ(max_abs_diff(a.input_embedding, b.input_embedding), 0.0f);
+  EXPECT_EQ(max_abs_diff(a.pos_embedding, b.pos_embedding), 0.0f);
+  EXPECT_EQ(max_abs_diff(a.output_weight, b.output_weight), 0.0f);
+  ASSERT_EQ(a.layers.size(), b.layers.size());
+  for (std::size_t l = 0; l < a.layers.size(); ++l) {
+    const LayerWeights& x = a.layers[l];
+    const LayerWeights& y = b.layers[l];
+    for (const auto& [ta, tb] : {std::pair{&x.ln1_g, &y.ln1_g}, {&x.ln1_b, &y.ln1_b},
+                                 {&x.wq, &y.wq}, {&x.wk, &y.wk}, {&x.wv, &y.wv},
+                                 {&x.wo, &y.wo}, {&x.ln2_g, &y.ln2_g}, {&x.ln2_b, &y.ln2_b},
+                                 {&x.w1, &y.w1}, {&x.b1, &y.b1}, {&x.w2, &y.w2},
+                                 {&x.b2, &y.b2}}) {
+      EXPECT_EQ(max_abs_diff(*ta, *tb), 0.0f) << "layer " << l;
+    }
+  }
+}
+
+class NaiveParity : public testing::TestWithParam<NaiveCase> {};
+
+TEST_P(NaiveParity, BitIdenticalTo1F1BVocab) {
+  const NaiveCase c = GetParam();
+  const GptConfig cfg = exec_config(c.tied);
+  const GptWeights weights = GptWeights::init(cfg, 2468);
+  PipelineTrainer naive(weights, c.p, c.algo, PipelineFlavor::Naive);
+  PipelineTrainer vocab(weights, c.p, c.algo, PipelineFlavor::OneFOneBVocab);
+  if (c.bf16) {
+    naive.set_mixed_precision(MixedPrecisionConfig{});
+    vocab.set_mixed_precision(MixedPrecisionConfig{});
+  }
+  OptimizerConfig opt = c.adam ? OptimizerConfig::adam(3e-3f) : OptimizerConfig::sgd(0.1f);
+  opt.max_grad_norm = c.clip ? 1.0f : 0.0f;
+  SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 1357);
+
+  constexpr int kIterations = 3;
+  for (int it = 0; it < kIterations; ++it) {
+    const auto mbs = microbatches(corpus, it, /*count=*/2 * c.p);
+    const float naive_loss = naive.train_iteration(mbs, opt);
+    const float vocab_loss = vocab.train_iteration(mbs, opt);
+    EXPECT_EQ(naive_loss, vocab_loss) << "iteration " << it;
+  }
+  expect_bitwise_equal(naive.export_weights(), vocab.export_weights());
+}
+
+std::vector<NaiveCase> naive_cases() {
+  std::vector<NaiveCase> cases;
+  for (const int p : {2, 4}) {
+    for (const OutputAlgo algo : {OutputAlgo::Alg1, OutputAlgo::Alg2}) {
+      for (const bool tied : {false, true}) {
+        for (const bool clip : {false, true}) {
+          for (const bool adam : {false, true}) {
+            cases.push_back({p, algo, tied, clip, adam, /*bf16=*/false});
+          }
+        }
+      }
+    }
+  }
+  cases.push_back({2, OutputAlgo::Alg1, /*tied=*/false, /*clip=*/false, /*adam=*/true,
+                   /*bf16=*/true});
+  cases.push_back({4, OutputAlgo::Alg2, /*tied=*/true, /*clip=*/true, /*adam=*/true,
+                   /*bf16=*/true});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllConfigs, NaiveParity, testing::ValuesIn(naive_cases()),
+                         naive_case_name);
 
 }  // namespace
 }  // namespace vocab

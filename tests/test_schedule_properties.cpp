@@ -172,6 +172,47 @@ INSTANTIATE_TEST_SUITE_P(Sweep, AllSchedules,
                                                           std::int64_t{262144})),
                          param_name);
 
+// ---- naive (unpipelined) vocabulary schedule ---------------------------------------
+
+TEST(NaiveSchedule, CertifiedWithOneMicrobatchInFlight) {
+  // The naive baseline is 1F1B-vocab's building block issued strictly one
+  // microbatch at a time: certified like every generator, with a symbolic
+  // activation peak of exactly one microbatch on every device — including
+  // the single-device pipeline.
+  ModelConfig mc;
+  mc.num_layers = 8;
+  mc.attention_heads = 2;
+  mc.hidden = 32;
+  mc.seq_len = 16;
+  mc.vocab = 53;
+  mc.microbatch = 1;
+  mc.num_microbatches = 6;
+  const CostModel model(mc, HardwareModel{});
+  for (const int p : {1, 2, 4}) {
+    for (const OutputAlgo algo : {OutputAlgo::Alg1, OutputAlgo::Alg2}) {
+      const PipelineSchedule sched = build_naive_vocab(model, p, algo);
+      SCOPED_TRACE(sched.name + " p=" + std::to_string(p));
+      analysis::VerifyOptions opt;
+      opt.expected_peak_microbatches = 1.0;
+      const auto diags = analysis::verify(sched, opt);
+      EXPECT_TRUE(diags.empty()) << analysis::render_report(diags);
+      const auto peaks = analysis::activation_peak_microbatches(sched);
+      for (const double peak : peaks) EXPECT_DOUBLE_EQ(peak, 1.0);
+      EXPECT_GT(simulate(sched).makespan, 0.0);
+      // Sequential by construction: no lane returns to an earlier microbatch.
+      for (const DeviceLanes& lanes : sched.devices) {
+        for (const Stream stream : {Stream::Compute, Stream::Comm, Stream::CommAlt}) {
+          int last_mb = 0;
+          for (const int id : lanes.lane(stream)) {
+            EXPECT_GE(sched.op(id).microbatch, last_mb) << "op " << id;
+            last_mb = sched.op(id).microbatch;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- V-Half sweep ------------------------------------------------------------------
 
 class VHalfSweep : public testing::TestWithParam<Param> {};

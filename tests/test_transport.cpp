@@ -717,7 +717,8 @@ TEST(ShmFork, ElasticDowngradeRecoversBitIdentical) {
 }
 
 // Control run: no faults means one generation, no kills, and the
-// multi-process loss sequence matches an ordinary in-process run bitwise.
+// multi-process loss sequence matches an ordinary in-process run bitwise —
+// for the paper's schedule and for the naive baseline alike.
 TEST(ShmFork, ElasticCleanRunMatchesInProcess) {
   VOCAB_REQUIRE_FORK_SUPPORT();
   EnvGuard guard("VOCAB_SCHEDULE", nullptr);
@@ -728,25 +729,27 @@ TEST(ShmFork, ElasticCleanRunMatchesInProcess) {
   constexpr std::uint64_t kIterations = 2;
   const std::string checkpoint = temp_path("elastic_clean.ckpt");
 
-  ElasticTrainer elastic(GptWeights::init(cfg, kSeed), /*p=*/2, OutputAlgo::Alg1,
-                            PipelineFlavor::OneFOneBVocab, elastic_options(checkpoint));
-  const ElasticResult result = elastic.train(
-      kIterations, [&](std::uint64_t it) { return microbatches(corpus, it, 4); }, opt);
+  for (const PipelineFlavor flavor : {PipelineFlavor::OneFOneBVocab, PipelineFlavor::Naive}) {
+    SCOPED_TRACE(to_string(flavor));
+    ElasticTrainer elastic(GptWeights::init(cfg, kSeed), /*p=*/2, OutputAlgo::Alg1, flavor,
+                           elastic_options(checkpoint));
+    const ElasticResult result = elastic.train(
+        kIterations, [&](std::uint64_t it) { return microbatches(corpus, it, 4); }, opt);
 
-  EXPECT_EQ(result.kills, 0);
-  EXPECT_EQ(result.aborts, 0);
-  EXPECT_EQ(result.generations, 1);
-  EXPECT_EQ(result.final_width, 2);
-  ASSERT_EQ(result.losses.size(), kIterations);
+    EXPECT_EQ(result.kills, 0);
+    EXPECT_EQ(result.aborts, 0);
+    EXPECT_EQ(result.generations, 1);
+    EXPECT_EQ(result.final_width, 2);
+    ASSERT_EQ(result.losses.size(), kIterations);
 
-  PipelineTrainer reference(GptWeights::init(cfg, kSeed), /*p=*/2, OutputAlgo::Alg1,
-                            PipelineFlavor::OneFOneBVocab);
-  for (std::uint64_t it = 0; it < kIterations; ++it) {
-    EXPECT_EQ(reference.train_iteration(microbatches(corpus, it, 4), opt),
-              result.losses[it])
-        << "iteration " << it;
+    PipelineTrainer reference(GptWeights::init(cfg, kSeed), /*p=*/2, OutputAlgo::Alg1, flavor);
+    for (std::uint64_t it = 0; it < kIterations; ++it) {
+      EXPECT_EQ(reference.train_iteration(microbatches(corpus, it, 4), opt),
+                result.losses[it])
+          << "iteration " << it;
+    }
+    expect_bitwise_equal(load_checkpoint(checkpoint), reference.export_weights());
   }
-  expect_bitwise_equal(load_checkpoint(checkpoint), reference.export_weights());
 }
 
 // ---------------------------------------------------------------------------
