@@ -1,7 +1,5 @@
 #include "comm/channel.h"
 
-#include "common/error.h"
-
 namespace vocab {
 
 Channel::Channel(std::size_t capacity, std::chrono::milliseconds timeout,
@@ -22,13 +20,6 @@ void Channel::send(std::string tag, Tensor payload) {
 }
 
 Message Channel::recv() { return impl_->recv(); }
-
-Tensor Channel::recv_expect(const std::string& expected_tag) {
-  Message msg = recv();
-  VOCAB_CHECK(msg.tag == expected_tag,
-              "channel tag mismatch: expected '" << expected_tag << "' got '" << msg.tag << "'");
-  return std::move(msg.payload);
-}
 
 Tensor Channel::recv_tag(const std::string& tag) { return impl_->recv_tag(tag); }
 

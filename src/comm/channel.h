@@ -7,20 +7,19 @@
 // tensors; pops block (with deadlock timeout) until the matching message
 // arrives, mirroring NCCL send/recv pairing on a P2P connection.
 //
-// Since the transport layer landed, Channel is a facade over a pluggable
-// transport::Mailbox backend: the in-process thread rendezvous (default,
-// bit-identical to the historical implementation) or shared-memory ring
-// buffers that work across fork() (VOCAB_TRANSPORT=shm). The public API and
-// error texts are unchanged; DeadlockError reports additionally name the
-// backend and peer heartbeat ages so a hang is attributable to a dead peer
-// vs. a schedule bug.
+// Channel is a facade over a pluggable transport::Mailbox backend selected by
+// VOCAB_TRANSPORT: the in-process thread rendezvous (default), shared-memory
+// ring buffers that work across fork() (shm), or framed loopback/LAN sockets
+// (tcp). DeadlockError reports name the backend and, where it has one, the
+// peer liveness view, so a hang is attributable to a dead peer vs. a
+// schedule bug.
 //
 // Fault protocol: a channel may share an AbortToken with the rest of the
-// runtime (set_abort_token). Blocking waits slice their timeout into
-// kAbortPollInterval chunks and re-check the token, so the first device
-// failure anywhere unblocks every waiter here within milliseconds as an
-// AbortedError — instead of each peer serializing a full DeadlockError
-// timeout.
+// runtime (set_abort_token). Every blocking wait runs through the transport's
+// one wait loop (transport::PollWait), which parks no longer than about
+// kAbortPollInterval between token checks, so the first device failure
+// anywhere unblocks every waiter here within milliseconds as an AbortedError
+// — instead of each peer serializing a full DeadlockError timeout.
 
 #include <chrono>
 #include <memory>
@@ -53,10 +52,6 @@ class Channel {
 
   /// Dequeue the front message; blocks until one is available.
   Message recv();
-
-  /// Dequeue the front message and check its tag matches `expected_tag` —
-  /// a mismatch means the schedule ordered sends and recvs inconsistently.
-  Tensor recv_expect(const std::string& expected_tag);
 
   /// Dequeue the message whose tag equals `tag`, regardless of queue
   /// position. Blocks (with deadlock timeout) until it arrives. This is the

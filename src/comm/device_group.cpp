@@ -19,17 +19,8 @@ void DeviceGroup::all_reduce(int rank, Tensor& data, ReduceOp op, const std::str
   impl_->all_reduce(rank, data, op, tag);
 }
 
-void DeviceGroup::reduce(int rank, int root, Tensor& data, ReduceOp op,
-                         const std::string& tag) {
-  impl_->reduce(rank, root, data, op, tag);
-}
-
 void DeviceGroup::broadcast(int rank, int root, Tensor& data, const std::string& tag) {
   impl_->broadcast(rank, root, data, tag);
-}
-
-Tensor DeviceGroup::all_gather_rows(int rank, const Tensor& data, const std::string& tag) {
-  return impl_->all_gather_rows(rank, data, tag);
 }
 
 std::uint64_t DeviceGroup::completed_collectives() const {

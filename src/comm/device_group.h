@@ -2,17 +2,20 @@
 
 // Communication group standing in for NCCL.
 //
-// Each simulated pipeline device is an OS thread (or, under the shm
-// transport's multi-process mode, an OS process); a DeviceGroup provides the
+// Each simulated pipeline device is an OS thread (or, under the shm and tcp
+// transports' multi-process mode, an OS process); a DeviceGroup provides the
 // collectives the paper's algorithms need: AllReduce(max), AllReduce(sum),
-// Reduce(sum), Broadcast and Barrier. Semantics mirror NCCL:
+// Broadcast and Barrier. (The paper runs the input layer's Reduce as an NCCL
+// AllReduce to balance communication volume; so does the runtime, so Reduce
+// has no op of its own.) Semantics mirror NCCL:
 //   * every rank must call the same collectives in the same order;
 //   * calls block until all ranks arrive (rendezvous) and the data is ready.
 //
-// Since the transport layer landed, DeviceGroup is a facade over a pluggable
-// transport::Collective backend selected by VOCAB_TRANSPORT (default: the
-// in-process thread rendezvous, bit-identical to the historical
-// implementation).
+// DeviceGroup is a facade over a pluggable transport::Collective backend
+// selected by VOCAB_TRANSPORT: the in-process thread rendezvous (default),
+// shared-memory rendezvous cells (shm) or leader-driven sockets (tcp), all
+// reducing in the same rank order so results are bit-identical across
+// backends.
 //
 // Robustness features NCCL does not give you, which make scheduling bugs
 // observable in tests:
@@ -62,18 +65,8 @@ class DeviceGroup {
   /// elementwise reduction across ranks. All ranks must pass equal shapes.
   void all_reduce(int rank, Tensor& data, ReduceOp op, const std::string& tag);
 
-  /// In-place reduce to `root`: root's `data` holds the reduction, other
-  /// ranks' buffers are unchanged. (The paper implements this as NCCL
-  /// AllReduce to balance communication volume; we keep the true semantics
-  /// and note the volume distinction in the cost model.)
-  void reduce(int rank, int root, Tensor& data, ReduceOp op, const std::string& tag);
-
   /// Broadcast root's `data` to every rank (shapes adopted from root).
   void broadcast(int rank, int root, Tensor& data, const std::string& tag);
-
-  /// Concatenate each rank's rows in rank order: every rank receives the
-  /// [sum_rows, cols] result. Requires equal column counts.
-  Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag);
 
   /// Number of collectives completed so far (for tests).
   [[nodiscard]] std::uint64_t completed_collectives() const;

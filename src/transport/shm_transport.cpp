@@ -6,25 +6,11 @@
 #include <thread>
 
 #include "common/error.h"
+#include "transport/backend_common.h"
 
 namespace vocab::transport {
 
 namespace {
-
-// Same accumulation order and float ops as the threads backend — this is
-// what makes collective results bit-identical across backends.
-void reduce_into(Tensor& acc, const Tensor& contrib, ReduceOp op) {
-  VOCAB_CHECK(acc.same_shape(contrib),
-              "collective shape mismatch: " << acc.shape_str() << " vs " << contrib.shape_str());
-  float* pa = acc.data();
-  const float* pb = contrib.data();
-  const std::int64_t n = acc.numel();
-  if (op == ReduceOp::Sum) {
-    for (std::int64_t i = 0; i < n; ++i) pa[i] += pb[i];
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) pa[i] = std::max(pa[i], pb[i]);
-  }
-}
 
 // Tensor wire format: u32 ndims, u32 pad, i64 dims[ndims], f32 data. Raw fp32
 // bytes — serialization is bitwise, so no precision is lost in transit.
@@ -131,19 +117,6 @@ AbortReason reason_from_arena(const ShmAbortBlock& block) {
   return reason;
 }
 
-std::string describe_pending(const std::deque<Message>& pending, std::size_t capacity) {
-  std::ostringstream os;
-  os << "occupancy " << pending.size() << "/" << capacity << ", queued tags [";
-  constexpr std::size_t kMaxListed = 16;
-  for (std::size_t i = 0; i < std::min(pending.size(), kMaxListed); ++i) {
-    if (i > 0) os << ", ";
-    os << "'" << pending[i].tag << "'";
-  }
-  if (pending.size() > kMaxListed) os << ", ... +" << pending.size() - kMaxListed << " more";
-  os << "]";
-  return os.str();
-}
-
 constexpr std::size_t kInProcessRingBytes = std::size_t{8} << 20;
 constexpr std::size_t kInProcessSlotBytes = std::size_t{4} << 20;
 
@@ -231,49 +204,42 @@ void ShmMailbox::drain_ring() const {
   ring_.control->tail.store(tail, std::memory_order_release);
 }
 
-void ShmMailbox::check_or_backoff(const char* verb, const std::string& tag,
-                                  std::chrono::steady_clock::time_point t0,
-                                  std::chrono::steady_clock::time_point deadline,
-                                  int* attempt) const {
-  std::shared_ptr<AbortToken> token;
-  {
-    std::lock_guard lock(mutex_);
-    token = abort_;
-  }
-  if (token != nullptr && token->aborted()) {
-    throw AbortedError(token->reason(),
-                       std::string("channel ") + verb + " of tag '" + tag + "' interrupted");
-  }
-  if (peers_.attached() && peers_.abort->aborted()) {
-    throw AbortedError(reason_from_arena(*peers_.abort),
-                       std::string("channel ") + verb + " of tag '" + tag + "' interrupted");
-  }
-  // Past the retry budget a blocked op re-validates peer liveness so a dead
-  // writer/reader is named directly instead of waiting out the full timeout.
-  if (*attempt >= config_.retry_max) {
-    const int dead = peers_.dead_rank();
-    if (dead >= 0) {
-      throw DeadlockError(std::string("channel ") + verb + " aborted waiting for tag '" + tag +
-                          "': rank " + std::to_string(dead) + " is dead" + peers_.diag_suffix());
-    }
-  }
-  const auto now = std::chrono::steady_clock::now();
-  if (now >= deadline) {
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(now - t0).count();
-    std::string occupancy;
-    {
-      std::lock_guard lock(mutex_);
-      drain_ring();
-      occupancy = describe_pending(pending_, capacity_);
-    }
-    throw DeadlockError(std::string("channel ") + verb + " timed out waiting for tag '" + tag +
-                        "' after " + std::to_string(elapsed) + " ms (timeout " +
-                        std::to_string(timeout_.count()) + " ms): " + occupancy +
-                        peers_.diag_suffix());
-  }
+template <typename Ready>
+void ShmMailbox::wait(const char* verb, const std::string& tag, Ready&& ready) const {
   const std::uint64_t seed = static_cast<std::uint64_t>(peers_.self + 2) * 0x9e3779b97f4a7c15ULL;
-  std::this_thread::sleep_for(backoff_delay(config_, *attempt, seed));
-  ++*attempt;
+  PollWait poll(
+      timeout_, locked_copy(mutex_, abort_),
+      {.interrupted = [&] { return channel_interrupted(verb, tag); },
+       .check =
+           [&](int attempt) {
+             if (peers_.attached() && peers_.abort->aborted()) {
+               throw AbortedError(reason_from_arena(*peers_.abort),
+                                  channel_interrupted(verb, tag));
+             }
+             // Past the retry budget a blocked op re-validates peer liveness so
+             // a dead writer/reader is named directly instead of waiting out
+             // the full timeout.
+             if (attempt < config_.retry_max) return;
+             const int dead = peers_.dead_rank();
+             if (dead >= 0) {
+               throw DeadlockError(std::string("channel ") + verb + " aborted waiting for tag '" +
+                                   tag + "': rank " + std::to_string(dead) + " is dead" +
+                                   peers_.diag_suffix());
+             }
+           },
+       .expired =
+           [&](long long elapsed_ms) {
+             std::string occupancy;
+             {
+               std::lock_guard lock(mutex_);
+               drain_ring();
+               occupancy = describe_queue(pending_, capacity_);
+             }
+             return DeadlockError(channel_timed_out(verb, tag, elapsed_ms, timeout_) + occupancy +
+                                  peers_.diag_suffix());
+           },
+       .park = backoff_park(config_, seed)});
+  poll.until(ready);
 }
 
 void ShmMailbox::send(std::string tag, Tensor payload) {
@@ -282,67 +248,52 @@ void ShmMailbox::send(std::string tag, Tensor payload) {
               "shm mailbox message '" << tag << "' (" << rec.size()
                                       << " bytes) exceeds ring capacity "
                                       << ring_.control->capacity_bytes);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto deadline = t0 + timeout_;
-  int attempt = 0;
-  for (;;) {
+  wait("send (full)", tag, [&] {
+    if (!ring_.control->write_lock.try_lock()) return false;
     bool wrote = false;
-    if (ring_.control->write_lock.try_lock()) {
-      const std::uint64_t head = ring_.control->head.load(std::memory_order_relaxed);
-      const std::uint64_t tail = ring_.control->tail.load(std::memory_order_acquire);
-      const std::int64_t occupancy = ring_.control->occupancy.load(std::memory_order_acquire);
-      if (occupancy < static_cast<std::int64_t>(capacity_) &&
-          head - tail + rec.size() <= ring_.control->capacity_bytes) {
-        ring_write_bytes(ring_, head, rec.data(), rec.size());
-        ring_.control->occupancy.fetch_add(1, std::memory_order_relaxed);
-        ring_.control->head.store(head + rec.size(), std::memory_order_release);
-        wrote = true;
-      }
-      ring_.control->write_lock.unlock();
+    const std::uint64_t head = ring_.control->head.load(std::memory_order_relaxed);
+    const std::uint64_t tail = ring_.control->tail.load(std::memory_order_acquire);
+    const std::int64_t occupancy = ring_.control->occupancy.load(std::memory_order_acquire);
+    if (occupancy < static_cast<std::int64_t>(capacity_) &&
+        head - tail + rec.size() <= ring_.control->capacity_bytes) {
+      ring_write_bytes(ring_, head, rec.data(), rec.size());
+      ring_.control->occupancy.fetch_add(1, std::memory_order_relaxed);
+      ring_.control->head.store(head + rec.size(), std::memory_order_release);
+      wrote = true;
     }
-    if (wrote) return;
-    check_or_backoff("send (full)", tag, t0, deadline, &attempt);
-  }
+    ring_.control->write_lock.unlock();
+    return wrote;
+  });
 }
 
 Message ShmMailbox::recv() {
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto deadline = t0 + timeout_;
-  int attempt = 0;
-  for (;;) {
-    {
-      std::lock_guard lock(mutex_);
-      drain_ring();
-      if (!pending_.empty()) {
-        Message msg = std::move(pending_.front());
-        pending_.pop_front();
-        ring_.control->occupancy.fetch_sub(1, std::memory_order_relaxed);
-        return msg;
-      }
-    }
-    check_or_backoff("recv (empty)", "<front>", t0, deadline, &attempt);
-  }
+  Message msg;
+  wait("recv (empty)", "<front>", [&] {
+    std::lock_guard lock(mutex_);
+    drain_ring();
+    if (pending_.empty()) return false;
+    msg = std::move(pending_.front());
+    pending_.pop_front();
+    ring_.control->occupancy.fetch_sub(1, std::memory_order_relaxed);
+    return true;
+  });
+  return msg;
 }
 
 Tensor ShmMailbox::recv_tag(const std::string& tag) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto deadline = t0 + timeout_;
-  int attempt = 0;
-  for (;;) {
-    {
-      std::lock_guard lock(mutex_);
-      drain_ring();
-      const auto it = std::find_if(pending_.begin(), pending_.end(),
-                                   [&](const Message& m) { return m.tag == tag; });
-      if (it != pending_.end()) {
-        Tensor payload = std::move(it->payload);
-        pending_.erase(it);
-        ring_.control->occupancy.fetch_sub(1, std::memory_order_relaxed);
-        return payload;
-      }
-    }
-    check_or_backoff("recv", tag, t0, deadline, &attempt);
-  }
+  Tensor payload;
+  wait("recv", tag, [&] {
+    std::lock_guard lock(mutex_);
+    drain_ring();
+    const auto it = std::find_if(pending_.begin(), pending_.end(),
+                                 [&](const Message& m) { return m.tag == tag; });
+    if (it == pending_.end()) return false;
+    payload = std::move(it->payload);
+    pending_.erase(it);
+    ring_.control->occupancy.fetch_sub(1, std::memory_order_relaxed);
+    return true;
+  });
+  return payload;
 }
 
 void ShmMailbox::clear() {
@@ -360,7 +311,7 @@ std::size_t ShmMailbox::size() const {
 
 std::string ShmMailbox::describe_locked() const {
   drain_ring();
-  return describe_pending(pending_, capacity_) + peers_.diag_suffix();
+  return describe_queue(pending_, capacity_) + peers_.diag_suffix();
 }
 
 std::string ShmMailbox::describe() const {
@@ -403,15 +354,39 @@ void ShmCollective::rendezvous(int rank, const std::string& tag, const char* kin
   VOCAB_CHECK(tag.size() < kShmTagBytes,
               "collective tag '" << tag << "' exceeds " << kShmTagBytes - 1 << " bytes");
   ShmCollectiveControl* c = view_.control;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto deadline = t0 + timeout_;
-  int attempt = 0;
   const std::uint64_t seed = static_cast<std::uint64_t>(rank + 2) * 0xbf58476d1ce4e5b9ULL;
-  std::shared_ptr<AbortToken> token;
-  {
-    std::lock_guard lock(mutex_);
-    token = abort_;
-  }
+  // Every lap re-checks the token, the arena abort, peer death and the
+  // deadline, sleeping the deterministic backoff in between.
+  PollWait wait(
+      timeout_, locked_copy(mutex_, abort_),
+      {.on_abort = [&] { c->post_failure(collective_aborted(kind, tag).c_str()); },
+       .interrupted = [&] { return collective_interrupted(kind, tag, rank); },
+       .check =
+           [&](int) {
+             if (peers_.attached() && peers_.abort->aborted()) {
+               c->post_failure(collective_aborted(kind, tag).c_str());
+               throw AbortedError(reason_from_arena(*peers_.abort),
+                                  collective_interrupted(kind, tag, rank));
+             }
+             const int dead = peers_.dead_rank();
+             if (dead >= 0) {
+               const std::string failure = std::string("deadlock: rank ") +
+                                           std::to_string(dead) + " died during " + kind + " '" +
+                                           tag + "'";
+               c->post_failure(failure.c_str());
+               throw DeadlockError(failure + peers_.diag_suffix());
+             }
+           },
+       .expired =
+           [&](long long elapsed_ms) {
+             const std::string failure =
+                 collective_timed_out(rank, kind, tag, elapsed_ms, timeout_) + "; arrived " +
+                 std::to_string(c->arrived.load(std::memory_order_acquire)) + "/" +
+                 std::to_string(world_) + ")";
+             c->post_failure(failure.c_str());
+             return DeadlockError(failure + peers_.diag_suffix());
+           },
+       .park = backoff_park(config_, seed)});
 
   view_.waiting[rank].store(1, std::memory_order_relaxed);
   struct WaitingGuard {
@@ -421,51 +396,10 @@ void ShmCollective::rendezvous(int rank, const std::string& tag, const char* kin
 
   auto poisoned = [&] { return c->failure_set.load(std::memory_order_acquire) != 0; };
 
-  // Spin until `pred`, re-checking token abort, arena abort, peer death, and
-  // the deadline every lap, sleeping the deterministic backoff in between.
-  auto timed_wait = [&](auto&& pred) {
-    for (;;) {
-      if (pred()) return;
-      if (token != nullptr && token->aborted()) {
-        c->post_failure(("aborted during " + std::string(kind) + " '" + tag + "'").c_str());
-        throw AbortedError(token->reason(), std::string(kind) + " '" + tag + "' on rank " +
-                                                std::to_string(rank) + " interrupted");
-      }
-      if (peers_.attached() && peers_.abort->aborted()) {
-        c->post_failure(("aborted during " + std::string(kind) + " '" + tag + "'").c_str());
-        throw AbortedError(reason_from_arena(*peers_.abort),
-                           std::string(kind) + " '" + tag + "' on rank " + std::to_string(rank) +
-                               " interrupted");
-      }
-      const int dead = peers_.dead_rank();
-      if (dead >= 0) {
-        const std::string failure = std::string("deadlock: rank ") + std::to_string(dead) +
-                                    " died during " + kind + " '" + tag + "'";
-        c->post_failure(failure.c_str());
-        throw DeadlockError(failure + peers_.diag_suffix());
-      }
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::milliseconds>(now - t0).count();
-        const std::string failure =
-            std::string("deadlock: rank ") + std::to_string(rank) + " timed out in " + kind +
-            " '" + tag + "' after " + std::to_string(elapsed) + " ms (timeout " +
-            std::to_string(timeout_.count()) + " ms; arrived " +
-            std::to_string(c->arrived.load(std::memory_order_acquire)) + "/" +
-            std::to_string(world_) + ")";
-        c->post_failure(failure.c_str());
-        throw DeadlockError(failure + peers_.diag_suffix());
-      }
-      std::this_thread::sleep_for(backoff_delay(config_, attempt, seed));
-      ++attempt;
-    }
-  };
-
   if (poisoned()) throw DeadlockError(std::string("communicator poisoned: ") + c->failure_text());
 
   // Wait for the previous collective to fully drain before joining.
-  timed_wait([&] { return c->departed.load(std::memory_order_acquire) == 0 || poisoned(); });
+  wait.until([&] { return c->departed.load(std::memory_order_acquire) == 0 || poisoned(); });
   if (poisoned()) throw DeadlockError(std::string("communicator poisoned: ") + c->failure_text());
 
   const std::uint64_t my_gen = c->generation.load(std::memory_order_acquire);
@@ -501,7 +435,7 @@ void ShmCollective::rendezvous(int rank, const std::string& tag, const char* kin
     c->generation.fetch_add(1, std::memory_order_release);
     deliver_fn(view_.result);
   } else {
-    timed_wait(
+    wait.until(
         [&] { return c->generation.load(std::memory_order_acquire) != my_gen || poisoned(); });
     if (poisoned()) {
       throw DeadlockError(std::string("collective aborted: ") + c->failure_text());
@@ -531,25 +465,6 @@ void ShmCollective::all_reduce(int rank, Tensor& data, ReduceOp op, const std::s
       [&](const std::byte* result) { data = deserialize_tensor(result); });
 }
 
-void ShmCollective::reduce(int rank, int root, Tensor& data, ReduceOp op,
-                           const std::string& tag) {
-  check_rank(root);
-  const std::size_t result_cap = static_cast<std::size_t>(world_) * view_.slot_bytes;
-  rendezvous(
-      rank, tag, "reduce", &data,
-      [&] {
-        Tensor acc = deserialize_tensor(view_.slot(0));
-        for (int r = 1; r < world_; ++r) {
-          Tensor contrib = deserialize_tensor(view_.slot(r));
-          reduce_into(acc, contrib, op);
-        }
-        serialize_tensor(view_.result, result_cap, acc);
-      },
-      [&](const std::byte* result) {
-        if (rank == root) data = deserialize_tensor(result);
-      });
-}
-
 void ShmCollective::broadcast(int rank, int root, Tensor& data, const std::string& tag) {
   check_rank(root);
   const std::size_t result_cap = static_cast<std::size_t>(world_) * view_.slot_bytes;
@@ -560,33 +475,6 @@ void ShmCollective::broadcast(int rank, int root, Tensor& data, const std::strin
         serialize_tensor(view_.result, result_cap, src);
       },
       [&](const std::byte* result) { data = deserialize_tensor(result); });
-}
-
-Tensor ShmCollective::all_gather_rows(int rank, const Tensor& data, const std::string& tag) {
-  Tensor out;
-  const std::size_t result_cap = static_cast<std::size_t>(world_) * view_.slot_bytes;
-  rendezvous(
-      rank, tag, "all_gather_rows", &data,
-      [&] {
-        std::vector<Tensor> parts;
-        parts.reserve(static_cast<std::size_t>(world_));
-        for (int r = 0; r < world_; ++r) parts.push_back(deserialize_tensor(view_.slot(r)));
-        std::int64_t total_rows = 0;
-        const std::int64_t cols = parts[0].dim(1);
-        for (const Tensor& t : parts) {
-          VOCAB_CHECK(t.rank() == 2 && t.dim(1) == cols, "all_gather_rows column mismatch");
-          total_rows += t.dim(0);
-        }
-        Tensor gathered({total_rows, cols});
-        std::int64_t row = 0;
-        for (const Tensor& t : parts) {
-          std::copy(t.data(), t.data() + t.numel(), gathered.data() + row * cols);
-          row += t.dim(0);
-        }
-        serialize_tensor(view_.result, result_cap, gathered);
-      },
-      [&](const std::byte* result) { out = deserialize_tensor(result); });
-  return out;
 }
 
 std::uint64_t ShmCollective::completed_collectives() const {

@@ -21,9 +21,10 @@
 //     coordinated abort the in-process fault machinery already uses.
 //
 // Blocking waits have no condition variables (nothing to wake a process whose
-// peer was SIGKILL'd): they spin with backoff_delay() — exponential backoff
-// capped at kAbortPollInterval with deterministic jitter — re-checking the
-// local token, the arena abort block, peer death, and the deadline each lap.
+// peer was SIGKILL'd): they poll through PollWait with backoff_park() —
+// exponential backoff capped at kAbortPollInterval with deterministic jitter —
+// re-checking the local token, the arena abort block, peer death, and the
+// deadline each lap.
 
 #include <deque>
 #include <functional>
@@ -73,12 +74,10 @@ class ShmMailbox final : public Mailbox {
  private:
   /// Move every complete record currently in the ring into pending_.
   void drain_ring() const;
-  /// Shared blocking-loop bookkeeping: abort token / arena abort / peer death
-  /// / deadline checks, then one backoff sleep. Throws instead of returning
-  /// when the wait must end.
-  void check_or_backoff(const char* verb, const std::string& tag,
-                        std::chrono::steady_clock::time_point t0,
-                        std::chrono::steady_clock::time_point deadline, int* attempt) const;
+  /// Poll `ready` through PollWait, adding the arena abort and (past the
+  /// retry budget) dead-peer checks to every lap.
+  template <typename Ready>
+  void wait(const char* verb, const std::string& tag, Ready&& ready) const;
   [[nodiscard]] std::string describe_locked() const;
 
   const std::size_t capacity_;
@@ -107,9 +106,7 @@ class ShmCollective final : public Collective {
   void set_abort_token(std::shared_ptr<AbortToken> token) override;
   void barrier(int rank, const std::string& tag) override;
   void all_reduce(int rank, Tensor& data, ReduceOp op, const std::string& tag) override;
-  void reduce(int rank, int root, Tensor& data, ReduceOp op, const std::string& tag) override;
   void broadcast(int rank, int root, Tensor& data, const std::string& tag) override;
-  Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag) override;
   [[nodiscard]] std::uint64_t completed_collectives() const override;
   [[nodiscard]] std::vector<int> waiting_ranks() const override;
   [[nodiscard]] std::string describe() const override;

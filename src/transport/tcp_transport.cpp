@@ -8,48 +8,19 @@
 #include <deque>
 #include <functional>
 #include <sstream>
-#include <thread>
 
 #include "common/error.h"
+#include "transport/backend_common.h"
 
 namespace vocab::transport {
 
 namespace {
 
-void reduce_into(Tensor& acc, const Tensor& contrib, ReduceOp op) {
-  VOCAB_CHECK(acc.same_shape(contrib),
-              "collective shape mismatch: " << acc.shape_str() << " vs " << contrib.shape_str());
-  float* pa = acc.data();
-  const float* pb = contrib.data();
-  const std::int64_t n = acc.numel();
-  if (op == ReduceOp::Sum) {
-    for (std::int64_t i = 0; i < n; ++i) pa[i] += pb[i];
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) pa[i] = std::max(pa[i], pb[i]);
-  }
-}
-
-std::string describe_pending(const std::deque<Message>& pending, std::size_t capacity) {
-  std::ostringstream os;
-  os << "occupancy " << pending.size() << "/" << capacity << ", queued tags [";
-  constexpr std::size_t kMaxListed = 16;
-  for (std::size_t i = 0; i < std::min(pending.size(), kMaxListed); ++i) {
-    if (i > 0) os << ", ";
-    os << "'" << pending[i].tag << "'";
-  }
-  if (pending.size() > kMaxListed) os << ", ... +" << pending.size() - kMaxListed << " more";
-  os << "]";
-  return os.str();
-}
-
 // Collective op codes on the wire (CollJoin.op).
 constexpr std::uint32_t kOpBarrier = 0;
 constexpr std::uint32_t kOpAllReduceSum = 1;
 constexpr std::uint32_t kOpAllReduceMax = 2;
-constexpr std::uint32_t kOpReduceSum = 3;
-constexpr std::uint32_t kOpReduceMax = 4;
 constexpr std::uint32_t kOpBroadcast = 5;
-constexpr std::uint32_t kOpGatherRows = 6;
 
 /// Leader-side collective body, shared by the loopback hub and the mesh
 /// leader. `contrib(r)` is rank r's input tensor. The reduce order — rank 0's
@@ -62,39 +33,22 @@ Tensor leader_compute(std::uint32_t op, std::uint32_t root, int world,
     case kOpBarrier:
       return Tensor{};
     case kOpAllReduceSum:
-    case kOpAllReduceMax:
-    case kOpReduceSum:
-    case kOpReduceMax: {
+    case kOpAllReduceMax: {
       Tensor acc = contrib(0);
-      const ReduceOp rop =
-          (op == kOpAllReduceMax || op == kOpReduceMax) ? ReduceOp::Max : ReduceOp::Sum;
+      const ReduceOp rop = op == kOpAllReduceMax ? ReduceOp::Max : ReduceOp::Sum;
       for (int r = 1; r < world; ++r) reduce_into(acc, contrib(r), rop);
       return acc;
     }
     case kOpBroadcast:
       return contrib(static_cast<int>(root));
-    case kOpGatherRows: {
-      const Tensor& first = contrib(0);
-      VOCAB_CHECK(first.rank() == 2, "all_gather_rows needs rank-2 tensors");
-      const std::int64_t cols = first.dim(1);
-      std::int64_t total_rows = 0;
-      for (int r = 0; r < world; ++r) {
-        const Tensor& t = contrib(r);
-        VOCAB_CHECK(t.rank() == 2 && t.dim(1) == cols, "all_gather_rows column mismatch");
-        total_rows += t.dim(0);
-      }
-      Tensor gathered({total_rows, cols});
-      std::int64_t row = 0;
-      for (int r = 0; r < world; ++r) {
-        const Tensor& t = contrib(r);
-        std::copy(t.data(), t.data() + t.numel(), gathered.data() + row * cols);
-        row += t.dim(0);
-      }
-      return gathered;
-    }
     default:
       VOCAB_FAIL("unknown collective op code " << op);
   }
+}
+
+// Backoff jitter seed of a rank's waits, so concurrent ranks decorrelate.
+std::uint64_t rank_seed(int rank) {
+  return static_cast<std::uint64_t>(rank + 2) * 0x9e3779b97f4a7c15ULL;
 }
 
 const char* op_kind_name(std::uint32_t op) {
@@ -102,10 +56,7 @@ const char* op_kind_name(std::uint32_t op) {
     case kOpBarrier: return "barrier";
     case kOpAllReduceSum:
     case kOpAllReduceMax: return "all_reduce";
-    case kOpReduceSum:
-    case kOpReduceMax: return "reduce";
     case kOpBroadcast: return "broadcast";
-    case kOpGatherRows: return "all_gather_rows";
     default: return "collective";
   }
 }
@@ -152,63 +103,46 @@ class TcpLoopbackMailbox final : public Mailbox {
     Frame frame;
     frame.kind = FrameKind::kData;
     frame.payload = writer.take();
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto deadline = t0 + timeout_;
-    int attempt = 0;
-    for (;;) {
-      {
-        std::lock_guard lock(mutex_);
-        pump_locked();
-        if (occupancy_ < static_cast<std::int64_t>(capacity_)) {
-          ++occupancy_;
-          frame.seq = ++seq_out_;
-          encode_frame(frame, &wbuf_);
-          pump_locked();
-          return;
-        }
-      }
-      check_or_backoff("send (full)", tag, t0, deadline, &attempt);
-    }
+    wait("send (full)", tag, [&] {
+      std::lock_guard lock(mutex_);
+      pump_locked();
+      if (occupancy_ >= static_cast<std::int64_t>(capacity_)) return false;
+      ++occupancy_;
+      frame.seq = ++seq_out_;
+      encode_frame(frame, &wbuf_);
+      pump_locked();
+      return true;
+    });
   }
 
   Message recv() override {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto deadline = t0 + timeout_;
-    int attempt = 0;
-    for (;;) {
-      {
-        std::lock_guard lock(mutex_);
-        pump_locked();
-        if (!pending_.empty()) {
-          Message msg = std::move(pending_.front());
-          pending_.pop_front();
-          --occupancy_;
-          return msg;
-        }
-      }
-      check_or_backoff("recv (empty)", "<front>", t0, deadline, &attempt);
-    }
+    Message msg;
+    wait("recv (empty)", "<front>", [&] {
+      std::lock_guard lock(mutex_);
+      pump_locked();
+      if (pending_.empty()) return false;
+      msg = std::move(pending_.front());
+      pending_.pop_front();
+      --occupancy_;
+      return true;
+    });
+    return msg;
   }
 
   Tensor recv_tag(const std::string& tag) override {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto deadline = t0 + timeout_;
-    int attempt = 0;
-    for (;;) {
-      {
-        std::lock_guard lock(mutex_);
-        pump_locked();
-        const auto it = std::find_if(pending_.begin(), pending_.end(),
-                                     [&](const Message& m) { return m.tag == tag; });
-        if (it != pending_.end()) {
-          Tensor payload = std::move(it->payload);
-          pending_.erase(it);
-          --occupancy_;
-          return payload;
-        }
-      }
-      check_or_backoff("recv", tag, t0, deadline, &attempt);
-    }
+    Tensor payload;
+    wait("recv", tag, [&] {
+      std::lock_guard lock(mutex_);
+      pump_locked();
+      const auto it = std::find_if(pending_.begin(), pending_.end(),
+                                   [&](const Message& m) { return m.tag == tag; });
+      if (it == pending_.end()) return false;
+      payload = std::move(it->payload);
+      pending_.erase(it);
+      --occupancy_;
+      return true;
+    });
+    return payload;
   }
 
   void clear() override {
@@ -226,7 +160,7 @@ class TcpLoopbackMailbox final : public Mailbox {
   [[nodiscard]] std::string describe() const override {
     std::lock_guard lock(mutex_);
     const_cast<TcpLoopbackMailbox*>(this)->pump_locked();
-    return describe_pending(pending_, capacity_) + ", transport 'tcp' (loopback)";
+    return describe_queue(pending_, capacity_) + ", transport 'tcp' (loopback)";
   }
 
  private:
@@ -265,34 +199,22 @@ class TcpLoopbackMailbox final : public Mailbox {
     inbuf_.erase(inbuf_.begin(), inbuf_.begin() + static_cast<std::ptrdiff_t>(offset));
   }
 
-  void check_or_backoff(const char* verb, const std::string& tag,
-                        std::chrono::steady_clock::time_point t0,
-                        std::chrono::steady_clock::time_point deadline, int* attempt) const {
-    std::shared_ptr<AbortToken> token;
-    {
-      std::lock_guard lock(mutex_);
-      token = abort_;
-    }
-    if (token != nullptr && token->aborted()) {
-      throw AbortedError(token->reason(),
-                         std::string("channel ") + verb + " of tag '" + tag + "' interrupted");
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      const auto elapsed =
-          std::chrono::duration_cast<std::chrono::milliseconds>(now - t0).count();
-      std::string occupancy;
-      {
-        std::lock_guard lock(mutex_);
-        occupancy = describe_pending(pending_, capacity_);
-      }
-      throw DeadlockError(std::string("channel ") + verb + " timed out waiting for tag '" + tag +
-                          "' after " + std::to_string(elapsed) + " ms (timeout " +
-                          std::to_string(timeout_.count()) + " ms): " + occupancy +
-                          ", transport 'tcp' (loopback)");
-    }
-    std::this_thread::sleep_for(backoff_delay(config_, *attempt, 0x9e3779b97f4a7c15ULL * 3));
-    ++*attempt;
+  template <typename Ready>
+  void wait(const char* verb, const std::string& tag, Ready&& ready) {
+    PollWait poll(timeout_, locked_copy(mutex_, abort_),
+                  {.interrupted = [&] { return channel_interrupted(verb, tag); },
+                   .expired =
+                       [&](long long elapsed_ms) {
+                         std::string occupancy;
+                         {
+                           std::lock_guard lock(mutex_);
+                           occupancy = describe_queue(pending_, capacity_);
+                         }
+                         return DeadlockError(channel_timed_out(verb, tag, elapsed_ms, timeout_) +
+                                              occupancy + ", transport 'tcp' (loopback)");
+                       },
+                   .park = backoff_park(config_, 0x9e3779b97f4a7c15ULL * 3)});
+    poll.until(ready);
   }
 
   const std::size_t capacity_;
@@ -364,20 +286,9 @@ class TcpLoopbackCollective final : public Collective {
     data = execute(rank, op == ReduceOp::Sum ? kOpAllReduceSum : kOpAllReduceMax, 0, tag, data);
   }
 
-  void reduce(int rank, int root, Tensor& data, ReduceOp op, const std::string& tag) override {
-    check_rank(root);
-    Tensor result = execute(rank, op == ReduceOp::Sum ? kOpReduceSum : kOpReduceMax,
-                            static_cast<std::uint32_t>(root), tag, data);
-    if (rank == root) data = std::move(result);
-  }
-
   void broadcast(int rank, int root, Tensor& data, const std::string& tag) override {
     check_rank(root);
     data = execute(rank, kOpBroadcast, static_cast<std::uint32_t>(root), tag, data);
-  }
-
-  Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag) override {
-    return execute(rank, kOpGatherRows, 0, tag, data);
   }
 
   [[nodiscard]] std::uint64_t completed_collectives() const override {
@@ -425,64 +336,24 @@ class TcpLoopbackCollective final : public Collective {
                 "rank " << rank << " out of range [0, " << world_ << ")");
   }
 
-  /// Poison/abort/deadline checks + one backoff sleep while a rank waits.
-  void wait_checks(int rank, const char* kind, const std::string& tag,
-                   std::chrono::steady_clock::time_point t0,
-                   std::chrono::steady_clock::time_point deadline, int* attempt) {
-    std::shared_ptr<AbortToken> token;
-    std::string failure;
-    {
-      std::lock_guard lock(state_mutex_);
-      token = abort_;
-      failure = failure_;
-    }
-    if (!failure.empty()) throw DeadlockError("collective aborted: " + failure);
-    if (token != nullptr && token->aborted()) {
-      {
-        std::lock_guard lock(state_mutex_);
-        if (failure_.empty()) {
-          failure_ = "aborted during " + std::string(kind) + " '" + tag + "'";
-        }
-      }
-      throw AbortedError(token->reason(), std::string(kind) + " '" + tag + "' on rank " +
-                                              std::to_string(rank) + " interrupted");
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      const auto elapsed =
-          std::chrono::duration_cast<std::chrono::milliseconds>(now - t0).count();
-      std::string text = "deadlock: rank " + std::to_string(rank) + " timed out in " + kind +
-                         " '" + tag + "' after " + std::to_string(elapsed) + " ms (timeout " +
-                         std::to_string(timeout_.count()) + " ms; transport 'tcp' loopback)";
-      {
-        std::lock_guard lock(state_mutex_);
-        if (failure_.empty()) failure_ = text;
-      }
-      throw DeadlockError(text);
-    }
-    const auto seed = static_cast<std::uint64_t>(rank + 2) * 0x9e3779b97f4a7c15ULL;
-    std::this_thread::sleep_for(backoff_delay(config_, *attempt, seed));
-    ++*attempt;
-  }
-
-  /// Write all of `bytes` to `fd`, backing off (with the usual checks) while
-  /// the socket buffer is full.
-  void blocking_write(int fd, const std::vector<std::byte>& bytes, int rank, const char* kind,
-                      const std::string& tag, std::chrono::steady_clock::time_point t0,
-                      std::chrono::steady_clock::time_point deadline, int* attempt) {
+  /// Write all of `bytes` to `fd`, waiting while the socket buffer is full.
+  static void blocking_write(int fd, const std::vector<std::byte>& bytes, PollWait& wait) {
     std::size_t offset = 0;
-    while (offset < bytes.size()) {
-      const ssize_t n =
-          ::send(fd, bytes.data() + offset, bytes.size() - offset, MSG_NOSIGNAL);
-      if (n > 0) {
-        offset += static_cast<std::size_t>(n);
-        continue;
+    wait.until([&] {
+      while (offset < bytes.size()) {
+        const ssize_t n =
+            ::send(fd, bytes.data() + offset, bytes.size() - offset, MSG_NOSIGNAL);
+        if (n > 0) {
+          offset += static_cast<std::size_t>(n);
+          continue;
+        }
+        if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+          VOCAB_FAIL("tcp loopback collective write failed: " << std::strerror(errno));
+        }
+        return false;
       }
-      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-        VOCAB_FAIL("tcp loopback collective write failed: " << std::strerror(errno));
-      }
-      wait_checks(rank, kind, tag, t0, deadline, attempt);
-    }
+      return true;
+    });
   }
 
   /// Pop the next complete frame from `fd` into *out; false when none yet.
@@ -508,19 +379,48 @@ class TcpLoopbackCollective final : public Collective {
       completed_.fetch_add(1, std::memory_order_acq_rel);
       return result;
     }
+    std::shared_ptr<AbortToken> token;
     {
       std::lock_guard lock(state_mutex_);
       if (!failure_.empty()) throw DeadlockError("communicator poisoned: " + failure_);
       waiting_[static_cast<std::size_t>(rank)] = 1;
       tags_[static_cast<std::size_t>(rank)] = tag;
+      token = abort_;
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto deadline = t0 + timeout_;
-    int attempt = 0;
+    // One wait for the whole collective: every join, write and reply poll
+    // shares its deadline and backoff.
+    PollWait wait(
+        timeout_, std::move(token),
+        {.precheck =
+             [&] {
+               std::string failure;
+               {
+                 std::lock_guard lock(state_mutex_);
+                 failure = failure_;
+               }
+               if (!failure.empty()) throw DeadlockError("collective aborted: " + failure);
+             },
+         .on_abort =
+             [&] {
+               std::lock_guard lock(state_mutex_);
+               if (failure_.empty()) failure_ = collective_aborted(kind, tag);
+             },
+         .interrupted = [&] { return collective_interrupted(kind, tag, rank); },
+         .expired =
+             [&](long long elapsed_ms) {
+               std::string text = collective_timed_out(rank, kind, tag, elapsed_ms, timeout_) +
+                                  "; transport 'tcp' loopback)";
+               {
+                 std::lock_guard lock(state_mutex_);
+                 if (failure_.empty()) failure_ = text;
+               }
+               return DeadlockError(text);
+             },
+         .park = backoff_park(config_, rank_seed(rank))});
     Tensor result;
     try {
-      result = rank == 0 ? run_leader(op, root, tag, input, kind, t0, deadline, &attempt)
-                         : run_follower(rank, op, root, tag, input, kind, t0, deadline, &attempt);
+      result = rank == 0 ? run_leader(op, root, tag, input, kind, wait)
+                         : run_follower(rank, op, root, tag, input, wait);
     } catch (...) {
       std::lock_guard lock(state_mutex_);
       waiting_[static_cast<std::size_t>(rank)] = 0;
@@ -534,41 +434,33 @@ class TcpLoopbackCollective final : public Collective {
   }
 
   Tensor run_leader(std::uint32_t op, std::uint32_t root, const std::string& tag,
-                    const Tensor& input, const char* kind,
-                    std::chrono::steady_clock::time_point t0,
-                    std::chrono::steady_clock::time_point deadline, int* attempt) {
+                    const Tensor& input, const char* kind, PollWait& wait) {
     const std::uint64_t index = calls_[0]++;
     std::vector<Tensor> joins(static_cast<std::size_t>(world_));
     for (int r = 1; r < world_; ++r) {
       Port& port = ports_[static_cast<std::size_t>(r)];
-      for (;;) {
-        Frame frame;
-        if (try_read_frame(port.hub_fd, &port.hub_in, &frame)) {
-          VOCAB_CHECK(frame.kind == FrameKind::kCollJoin,
-                      "tcp loopback hub expected coll-join, got " << frame_kind_name(frame.kind));
-          PayloadReader reader(frame.payload);
-          const std::uint64_t got_index = reader.u64();
-          const std::uint32_t got_op = reader.u32();
-          const std::uint32_t got_root = reader.u32();
-          const std::string got_tag = reader.str();
-          VOCAB_CHECK(got_index == index, "tcp loopback collective order broke: rank "
-                                              << r << " joined index " << got_index
-                                              << " while the hub is at " << index);
-          if (got_tag != tag || got_op != op || got_root != root) {
-            std::string text = std::string("collective mismatch in ") + kind +
-                               ": rank 0 tag '" + tag + "' vs rank " + std::to_string(r) +
-                               " tag '" + got_tag + "'";
-            {
-              std::lock_guard lock(state_mutex_);
-              if (failure_.empty()) failure_ = text;
-            }
-            throw CheckError(text);
-          }
-          joins[static_cast<std::size_t>(r)] = reader.tensor();
-          break;
+      Frame frame;
+      wait.until([&] { return try_read_frame(port.hub_fd, &port.hub_in, &frame); });
+      VOCAB_CHECK(frame.kind == FrameKind::kCollJoin,
+                  "tcp loopback hub expected coll-join, got " << frame_kind_name(frame.kind));
+      PayloadReader reader(frame.payload);
+      const std::uint64_t got_index = reader.u64();
+      const std::uint32_t got_op = reader.u32();
+      const std::uint32_t got_root = reader.u32();
+      const std::string got_tag = reader.str();
+      VOCAB_CHECK(got_index == index, "tcp loopback collective order broke: rank "
+                                          << r << " joined index " << got_index
+                                          << " while the hub is at " << index);
+      if (got_tag != tag || got_op != op || got_root != root) {
+        std::string text = std::string("collective mismatch in ") + kind + ": rank 0 tag '" +
+                           tag + "' vs rank " + std::to_string(r) + " tag '" + got_tag + "'";
+        {
+          std::lock_guard lock(state_mutex_);
+          if (failure_.empty()) failure_ = text;
         }
-        wait_checks(0, kind, tag, t0, deadline, attempt);
+        throw CheckError(text);
       }
+      joins[static_cast<std::size_t>(r)] = reader.tensor();
     }
 
     Tensor result;
@@ -593,17 +485,14 @@ class TcpLoopbackCollective final : public Collective {
     std::vector<std::byte> bytes;
     encode_frame(frame, &bytes);
     for (int r = 1; r < world_; ++r) {
-      blocking_write(ports_[static_cast<std::size_t>(r)].hub_fd, bytes, 0, kind, tag, t0,
-                     deadline, attempt);
+      blocking_write(ports_[static_cast<std::size_t>(r)].hub_fd, bytes, wait);
     }
     completed_.fetch_add(1, std::memory_order_acq_rel);
     return result;
   }
 
   Tensor run_follower(int rank, std::uint32_t op, std::uint32_t root, const std::string& tag,
-                      const Tensor& input, const char* kind,
-                      std::chrono::steady_clock::time_point t0,
-                      std::chrono::steady_clock::time_point deadline, int* attempt) {
+                      const Tensor& input, PollWait& wait) {
     Port& port = ports_[static_cast<std::size_t>(rank)];
     const std::uint64_t index = calls_[static_cast<std::size_t>(rank)]++;
     PayloadWriter writer;
@@ -617,22 +506,17 @@ class TcpLoopbackCollective final : public Collective {
     frame.payload = writer.take();
     std::vector<std::byte> bytes;
     encode_frame(frame, &bytes);
-    blocking_write(port.app_fd, bytes, rank, kind, tag, t0, deadline, attempt);
+    blocking_write(port.app_fd, bytes, wait);
 
-    for (;;) {
-      Frame reply;
-      if (try_read_frame(port.app_fd, &port.app_in, &reply)) {
-        VOCAB_CHECK(reply.kind == FrameKind::kCollResult,
-                    "tcp loopback spoke expected coll-result, got "
-                        << frame_kind_name(reply.kind));
-        PayloadReader reader(reply.payload);
-        const std::uint64_t got_index = reader.u64();
-        VOCAB_CHECK(got_index == index, "tcp loopback collective order broke: got result "
-                                            << got_index << " while waiting for " << index);
-        return reader.tensor();
-      }
-      wait_checks(rank, kind, tag, t0, deadline, attempt);
-    }
+    Frame reply;
+    wait.until([&] { return try_read_frame(port.app_fd, &port.app_in, &reply); });
+    VOCAB_CHECK(reply.kind == FrameKind::kCollResult,
+                "tcp loopback spoke expected coll-result, got " << frame_kind_name(reply.kind));
+    PayloadReader reader(reply.payload);
+    const std::uint64_t got_index = reader.u64();
+    VOCAB_CHECK(got_index == index, "tcp loopback collective order broke: got result "
+                                        << got_index << " while waiting for " << index);
+    return reader.tensor();
   }
 
   const int world_;
@@ -688,28 +572,22 @@ class TcpMeshMailbox final : public Mailbox {
 
   Message recv() override {
     check_owner("recv");
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto deadline = t0 + timeout_;
-    int attempt = 0;
-    for (;;) {
+    Message msg;
+    wait("recv (empty)", "<front>", [&] {
       supervisor_->pump();
-      Message msg;
-      if (supervisor_->try_pop(id_, &msg)) return msg;
-      check_or_backoff("recv (empty)", "<front>", t0, deadline, &attempt);
-    }
+      return supervisor_->try_pop(id_, &msg);
+    });
+    return msg;
   }
 
   Tensor recv_tag(const std::string& tag) override {
     check_owner("recv_tag");
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto deadline = t0 + timeout_;
-    int attempt = 0;
-    for (;;) {
+    Tensor payload;
+    wait("recv", tag, [&] {
       supervisor_->pump();
-      Tensor payload;
-      if (supervisor_->try_pop_tag(id_, tag, &payload)) return payload;
-      check_or_backoff("recv", tag, t0, deadline, &attempt);
-    }
+      return supervisor_->try_pop_tag(id_, tag, &payload);
+    });
+    return payload;
   }
 
   void clear() override {
@@ -732,35 +610,23 @@ class TcpMeshMailbox final : public Mailbox {
                                        "mailbox i to device i");
   }
 
-  void check_or_backoff(const char* verb, const std::string& tag,
-                        std::chrono::steady_clock::time_point t0,
-                        std::chrono::steady_clock::time_point deadline, int* attempt) const {
+  template <typename Ready>
+  void wait(const char* verb, const std::string& tag, Ready&& ready) {
     // Dead-peer first (PeerDeadError → worker exit 5), then abort, then the
     // local token, then the deadline.
-    supervisor_->throw_if_failed((std::string("channel ") + verb).c_str(), tag);
-    std::shared_ptr<AbortToken> token;
-    {
-      std::lock_guard lock(mutex_);
-      token = abort_;
-    }
-    if (token != nullptr && token->aborted()) {
-      throw AbortedError(token->reason(),
-                         std::string("channel ") + verb + " of tag '" + tag + "' interrupted");
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      const auto elapsed =
-          std::chrono::duration_cast<std::chrono::milliseconds>(now - t0).count();
-      throw DeadlockError(std::string("channel ") + verb + " timed out waiting for tag '" + tag +
-                          "' after " + std::to_string(elapsed) + " ms (timeout " +
-                          std::to_string(timeout_.count()) + " ms): " +
-                          supervisor_->describe_mailbox(id_, capacity_) +
-                          supervisor_->diag_suffix());
-    }
-    const auto seed =
-        static_cast<std::uint64_t>(supervisor_->self() + 2) * 0x9e3779b97f4a7c15ULL;
-    std::this_thread::sleep_for(backoff_delay(config_, *attempt, seed));
-    ++*attempt;
+    PollWait poll(
+        timeout_, locked_copy(mutex_, abort_),
+        {.precheck =
+             [&] { supervisor_->throw_if_failed((std::string("channel ") + verb).c_str(), tag); },
+         .interrupted = [&] { return channel_interrupted(verb, tag); },
+         .expired =
+             [&](long long elapsed_ms) {
+               return DeadlockError(channel_timed_out(verb, tag, elapsed_ms, timeout_) +
+                                    supervisor_->describe_mailbox(id_, capacity_) +
+                                    supervisor_->diag_suffix());
+             },
+         .park = backoff_park(config_, rank_seed(supervisor_->self()))});
+    poll.until(ready);
   }
 
   const std::uint32_t id_;
@@ -808,18 +674,8 @@ class TcpMeshCollective final : public Collective {
     data = execute(rank, op == ReduceOp::Sum ? kOpAllReduceSum : kOpAllReduceMax, 0, tag, data);
   }
 
-  void reduce(int rank, int root, Tensor& data, ReduceOp op, const std::string& tag) override {
-    Tensor result = execute(rank, op == ReduceOp::Sum ? kOpReduceSum : kOpReduceMax,
-                            static_cast<std::uint32_t>(root), tag, data);
-    if (rank == root) data = std::move(result);
-  }
-
   void broadcast(int rank, int root, Tensor& data, const std::string& tag) override {
     data = execute(rank, kOpBroadcast, static_cast<std::uint32_t>(root), tag, data);
-  }
-
-  Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag) override {
-    return execute(rank, kOpGatherRows, 0, tag, data);
   }
 
   [[nodiscard]] std::uint64_t completed_collectives() const override {
@@ -835,33 +691,6 @@ class TcpMeshCollective final : public Collective {
   }
 
  private:
-  void check_or_backoff(int rank, const char* kind, const std::string& tag,
-                        std::chrono::steady_clock::time_point t0,
-                        std::chrono::steady_clock::time_point deadline, int* attempt) const {
-    supervisor_->throw_if_failed(kind, tag);
-    std::shared_ptr<AbortToken> token;
-    {
-      std::lock_guard lock(mutex_);
-      token = abort_;
-    }
-    if (token != nullptr && token->aborted()) {
-      throw AbortedError(token->reason(), std::string(kind) + " '" + tag + "' on rank " +
-                                              std::to_string(rank) + " interrupted");
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      const auto elapsed =
-          std::chrono::duration_cast<std::chrono::milliseconds>(now - t0).count();
-      throw DeadlockError("deadlock: rank " + std::to_string(rank) + " timed out in " + kind +
-                          " '" + tag + "' after " + std::to_string(elapsed) + " ms (timeout " +
-                          std::to_string(timeout_.count()) + " ms)" +
-                          supervisor_->diag_suffix());
-    }
-    const auto seed = static_cast<std::uint64_t>(rank + 2) * 0x9e3779b97f4a7c15ULL;
-    std::this_thread::sleep_for(backoff_delay(config_, *attempt, seed));
-    ++*attempt;
-  }
-
   Tensor execute(int rank, std::uint32_t op, std::uint32_t root, const std::string& tag,
                  const Tensor& input) {
     VOCAB_CHECK(rank == supervisor_->self(),
@@ -874,39 +703,40 @@ class TcpMeshCollective final : public Collective {
       completed_.fetch_add(1, std::memory_order_acq_rel);
       return result;
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto deadline = t0 + timeout_;
-    int attempt = 0;
+    PollWait wait(
+        timeout_, locked_copy(mutex_, abort_),
+        {.precheck = [&] { supervisor_->throw_if_failed(kind, tag); },
+         .interrupted = [&] { return collective_interrupted(kind, tag, rank); },
+         .expired =
+             [&](long long elapsed_ms) {
+               return DeadlockError(collective_timed_out(rank, kind, tag, elapsed_ms, timeout_) +
+                                    ")" + supervisor_->diag_suffix());
+             },
+         .park = backoff_park(config_, rank_seed(rank))});
 
     if (rank != 0) {
       supervisor_->throw_if_failed(kind, tag);
       supervisor_->send_coll_join(index, op, root, tag, input);
-      for (;;) {
+      Tensor result;
+      wait.until([&] {
         supervisor_->pump();
-        Tensor result;
-        if (supervisor_->try_pop_coll_result(index, &result)) {
-          completed_.fetch_add(1, std::memory_order_acq_rel);
-          return result;
-        }
-        check_or_backoff(rank, kind, tag, t0, deadline, &attempt);
-      }
+        return supervisor_->try_pop_coll_result(index, &result);
+      });
+      completed_.fetch_add(1, std::memory_order_acq_rel);
+      return result;
     }
 
     std::vector<Tensor> joins(static_cast<std::size_t>(world_));
     for (int r = 1; r < world_; ++r) {
-      for (;;) {
+      TcpSupervisor::CollJoin join;
+      wait.until([&] {
         supervisor_->pump();
-        TcpSupervisor::CollJoin join;
-        if (supervisor_->try_pop_coll_join(index, r, &join)) {
-          VOCAB_CHECK(join.tag == tag && join.op == op && join.root == root,
-                      "collective mismatch in " << kind << ": rank 0 tag '" << tag
-                                                << "' vs rank " << r << " tag '" << join.tag
-                                                << "'");
-          joins[static_cast<std::size_t>(r)] = std::move(join.data);
-          break;
-        }
-        check_or_backoff(rank, kind, tag, t0, deadline, &attempt);
-      }
+        return supervisor_->try_pop_coll_join(index, r, &join);
+      });
+      VOCAB_CHECK(join.tag == tag && join.op == op && join.root == root,
+                  "collective mismatch in " << kind << ": rank 0 tag '" << tag << "' vs rank "
+                                            << r << " tag '" << join.tag << "'");
+      joins[static_cast<std::size_t>(r)] = std::move(join.data);
     }
     Tensor result = leader_compute(op, root, world_, [&](int r) -> const Tensor& {
       return r == 0 ? input : joins[static_cast<std::size_t>(r)];

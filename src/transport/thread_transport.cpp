@@ -4,43 +4,22 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "transport/backend_common.h"
 
 namespace vocab::transport {
 
 namespace {
 
-// Render queue occupancy + queued tags for DeadlockError messages, so a
-// timed-out send/recv names the messages actually in flight instead of
-// leaving the schedule bug to a debugger. Requires the mailbox mutex held.
-std::string describe_queue(const std::deque<Message>& queue, std::size_t capacity) {
-  std::ostringstream os;
-  os << "occupancy " << queue.size() << "/" << capacity << ", queued tags [";
-  constexpr std::size_t kMaxListed = 16;
-  for (std::size_t i = 0; i < std::min(queue.size(), kMaxListed); ++i) {
-    if (i > 0) os << ", ";
-    os << "'" << queue[i].tag << "'";
-  }
-  if (queue.size() > kMaxListed) os << ", ... +" << queue.size() - kMaxListed << " more";
-  os << "]";
-  // Failure-model attribution: the threads backend has no liveness signal —
-  // a peer "dying" here is a thread that stopped calling, which only the
-  // watchdog can see. Name the backend so a hang is not mistaken for a dead
-  // process.
-  os << ", transport 'threads' (peer heartbeat n/a)";
-  return os.str();
-}
+// Failure-model attribution: the threads backend has no liveness signal — a
+// peer "dying" here is a thread that stopped calling, which only the watchdog
+// can see. Name the backend so a hang is not mistaken for a dead process.
+constexpr const char* kThreadsSuffix = ", transport 'threads' (peer heartbeat n/a)";
 
-void reduce_into(Tensor& acc, const Tensor& contrib, ReduceOp op) {
-  VOCAB_CHECK(acc.same_shape(contrib),
-              "collective shape mismatch: " << acc.shape_str() << " vs " << contrib.shape_str());
-  float* pa = acc.data();
-  const float* pb = contrib.data();
-  const std::int64_t n = acc.numel();
-  if (op == ReduceOp::Sum) {
-    for (std::int64_t i = 0; i < n; ++i) pa[i] += pb[i];
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) pa[i] = std::max(pa[i], pb[i]);
-  }
+// The park step of both thread waits: a condition-variable wait sliced by
+// kAbortPollInterval, so the abort token is seen even if a notify is missed.
+void park(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
+          std::chrono::steady_clock::duration remaining) {
+  cv.wait_for(lock, std::min<std::chrono::steady_clock::duration>(remaining, kAbortPollInterval));
 }
 
 }  // namespace
@@ -64,26 +43,16 @@ template <typename Ready>
 void ThreadMailbox::wait_or_throw(std::unique_lock<std::mutex>& lock,
                                   std::condition_variable& cv, const char* verb,
                                   const std::string& tag, Ready&& ready) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto deadline = t0 + timeout_;
-  for (;;) {
-    if (ready()) return;
-    if (abort_ != nullptr && abort_->aborted()) {
-      throw AbortedError(abort_->reason(),
-                         std::string("channel ") + verb + " of tag '" + tag + "' interrupted");
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      const auto elapsed =
-          std::chrono::duration_cast<std::chrono::milliseconds>(now - t0).count();
-      throw DeadlockError(std::string("channel ") + verb + " timed out waiting for tag '" +
-                          tag + "' after " + std::to_string(elapsed) + " ms (timeout " +
-                          std::to_string(timeout_.count()) + " ms): " +
-                          describe_queue(queue_, capacity_));
-    }
-    cv.wait_for(lock, std::min<std::chrono::steady_clock::duration>(deadline - now,
-                                                                    kAbortPollInterval));
-  }
+  PollWait wait(
+      timeout_, abort_,
+      {.interrupted = [&] { return channel_interrupted(verb, tag); },
+       .expired =
+           [&](long long elapsed_ms) {
+             return DeadlockError(channel_timed_out(verb, tag, elapsed_ms, timeout_) +
+                                  describe_queue(queue_, capacity_) + kThreadsSuffix);
+           },
+       .park = [&](int, auto remaining) { park(lock, cv, remaining); }});
+  wait.until(ready);
 }
 
 void ThreadMailbox::send(std::string tag, Tensor payload) {
@@ -128,7 +97,7 @@ std::size_t ThreadMailbox::size() const {
 
 std::string ThreadMailbox::describe() const {
   std::lock_guard lock(mutex_);
-  return describe_queue(queue_, capacity_);
+  return describe_queue(queue_, capacity_) + kThreadsSuffix;
 }
 
 // ---------------------------------------------------------------------------
@@ -159,8 +128,6 @@ void ThreadCollective::rendezvous(int rank, const std::string& tag, const char* 
                                   LeaderFn&& leader_fn) {
   check_rank(rank);
   std::unique_lock lock(mutex_);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto deadline = t0 + timeout_;
   waiting_[static_cast<std::size_t>(rank)] = true;
   struct WaitingGuard {
     std::vector<bool>& waiting;
@@ -168,38 +135,27 @@ void ThreadCollective::rendezvous(int rank, const std::string& tag, const char* 
     ~WaitingGuard() { waiting[rank] = false; }
   } waiting_guard{waiting_, static_cast<std::size_t>(rank)};
 
-  // Wait until `pred`, slicing the timeout so the shared abort token is
-  // observed within kAbortPollInterval even if a notify is missed.
-  auto timed_wait = [&](auto&& pred) {
-    for (;;) {
-      if (pred()) return;
-      if (abort_ != nullptr && abort_->aborted()) {
-        if (failure_.empty()) failure_ = "aborted during " + std::string(kind) + " '" + tag + "'";
-        cv_.notify_all();
-        throw AbortedError(abort_->reason(), std::string(kind) + " '" + tag + "' on rank " +
-                                                 std::to_string(rank) + " interrupted");
-      }
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::milliseconds>(now - t0).count();
-        failure_ = std::string("deadlock: rank ") + std::to_string(rank) + " timed out in " +
-                   kind + " '" + tag + "' after " + std::to_string(elapsed) + " ms (timeout " +
-                   std::to_string(timeout_.count()) + " ms; arrived " +
-                   std::to_string(arrived_) + "/" + std::to_string(world_size_) +
-                   "; transport 'threads')";
-        cv_.notify_all();
-        throw DeadlockError(failure_);
-      }
-      cv_.wait_for(lock, std::min<std::chrono::steady_clock::duration>(deadline - now,
-                                                                       kAbortPollInterval));
-    }
-  };
+  PollWait wait(timeout_, abort_,
+                {.on_abort =
+                     [&] {
+                       if (failure_.empty()) failure_ = collective_aborted(kind, tag);
+                       cv_.notify_all();
+                     },
+                 .interrupted = [&] { return collective_interrupted(kind, tag, rank); },
+                 .expired =
+                     [&](long long elapsed_ms) {
+                       failure_ = collective_timed_out(rank, kind, tag, elapsed_ms, timeout_) +
+                                  "; arrived " + std::to_string(arrived_) + "/" +
+                                  std::to_string(world_size_) + "; transport 'threads')";
+                       cv_.notify_all();
+                       return DeadlockError(failure_);
+                     },
+                 .park = [&](int, auto remaining) { park(lock, cv_, remaining); }});
 
   if (!failure_.empty()) throw DeadlockError("communicator poisoned: " + failure_);
 
   // Wait for the previous collective to fully drain before joining.
-  timed_wait([&] { return departed_ == 0 || !failure_.empty(); });
+  wait.until([&] { return departed_ == 0 || !failure_.empty(); });
   if (!failure_.empty()) throw DeadlockError("communicator poisoned: " + failure_);
 
   const std::uint64_t my_gen = generation_;
@@ -234,7 +190,7 @@ void ThreadCollective::rendezvous(int rank, const std::string& tag, const char* 
     ++generation_;
     cv_.notify_all();
   } else {
-    timed_wait([&] { return generation_ != my_gen || !failure_.empty(); });
+    wait.until([&] { return generation_ != my_gen || !failure_.empty(); });
     if (!failure_.empty()) throw DeadlockError("collective aborted: " + failure_);
   }
 
@@ -251,27 +207,14 @@ void ThreadCollective::all_reduce(int rank, Tensor& data, ReduceOp op,
   check_rank(rank);
   {
     std::lock_guard lock(mutex_);
-    slots_[static_cast<std::size_t>(rank)].tensor = &data;
+    slots_[static_cast<std::size_t>(rank)] = &data;
   }
   rendezvous(rank, tag, "all_reduce", [&] {
-    Tensor acc = *slots_[0].tensor;
-    for (int r = 1; r < world_size_; ++r) reduce_into(acc, *slots_[static_cast<std::size_t>(r)].tensor, op);
-    for (int r = 0; r < world_size_; ++r) *slots_[static_cast<std::size_t>(r)].tensor = acc;
-  });
-}
-
-void ThreadCollective::reduce(int rank, int root, Tensor& data, ReduceOp op,
-                              const std::string& tag) {
-  check_rank(rank);
-  check_rank(root);
-  {
-    std::lock_guard lock(mutex_);
-    slots_[static_cast<std::size_t>(rank)].tensor = &data;
-  }
-  rendezvous(rank, tag, "reduce", [&] {
-    Tensor acc = *slots_[0].tensor;
-    for (int r = 1; r < world_size_; ++r) reduce_into(acc, *slots_[static_cast<std::size_t>(r)].tensor, op);
-    *slots_[static_cast<std::size_t>(root)].tensor = std::move(acc);
+    Tensor acc = *slots_[0];
+    for (int r = 1; r < world_size_; ++r) {
+      reduce_into(acc, *slots_[static_cast<std::size_t>(r)], op);
+    }
+    for (int r = 0; r < world_size_; ++r) *slots_[static_cast<std::size_t>(r)] = acc;
   });
 }
 
@@ -280,43 +223,14 @@ void ThreadCollective::broadcast(int rank, int root, Tensor& data, const std::st
   check_rank(root);
   {
     std::lock_guard lock(mutex_);
-    slots_[static_cast<std::size_t>(rank)].tensor = &data;
+    slots_[static_cast<std::size_t>(rank)] = &data;
   }
   rendezvous(rank, tag, "broadcast", [&] {
-    const Tensor& src = *slots_[static_cast<std::size_t>(root)].tensor;
+    const Tensor& src = *slots_[static_cast<std::size_t>(root)];
     for (int r = 0; r < world_size_; ++r) {
-      if (r != root) *slots_[static_cast<std::size_t>(r)].tensor = src;
+      if (r != root) *slots_[static_cast<std::size_t>(r)] = src;
     }
   });
-}
-
-Tensor ThreadCollective::all_gather_rows(int rank, const Tensor& data,
-                                         const std::string& tag) {
-  check_rank(rank);
-  Tensor out;
-  {
-    std::lock_guard lock(mutex_);
-    slots_[static_cast<std::size_t>(rank)].const_tensor = &data;
-    slots_[static_cast<std::size_t>(rank)].tensor = &out;
-  }
-  rendezvous(rank, tag, "all_gather_rows", [&] {
-    std::int64_t total_rows = 0;
-    const std::int64_t cols = slots_[0].const_tensor->dim(1);
-    for (int r = 0; r < world_size_; ++r) {
-      const Tensor& t = *slots_[static_cast<std::size_t>(r)].const_tensor;
-      VOCAB_CHECK(t.rank() == 2 && t.dim(1) == cols, "all_gather_rows column mismatch");
-      total_rows += t.dim(0);
-    }
-    Tensor gathered({total_rows, cols});
-    std::int64_t row = 0;
-    for (int r = 0; r < world_size_; ++r) {
-      const Tensor& t = *slots_[static_cast<std::size_t>(r)].const_tensor;
-      std::copy(t.data(), t.data() + t.numel(), gathered.data() + row * cols);
-      row += t.dim(0);
-    }
-    for (int r = 0; r < world_size_; ++r) *slots_[static_cast<std::size_t>(r)].tensor = gathered;
-  });
-  return out;
 }
 
 std::uint64_t ThreadCollective::completed_collectives() const {
@@ -347,7 +261,7 @@ std::string ThreadCollective::describe() const {
   }
   os << "]";
   if (!failure_.empty()) os << ", failure: " << failure_;
-  os << ", transport 'threads' (peer heartbeat n/a)";
+  os << kThreadsSuffix;
   return os.str();
 }
 

@@ -58,19 +58,12 @@ class ThreadCollective final : public Collective {
   void set_abort_token(std::shared_ptr<AbortToken> token) override;
   void barrier(int rank, const std::string& tag) override;
   void all_reduce(int rank, Tensor& data, ReduceOp op, const std::string& tag) override;
-  void reduce(int rank, int root, Tensor& data, ReduceOp op, const std::string& tag) override;
   void broadcast(int rank, int root, Tensor& data, const std::string& tag) override;
-  Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag) override;
   [[nodiscard]] std::uint64_t completed_collectives() const override;
   [[nodiscard]] std::vector<int> waiting_ranks() const override;
   [[nodiscard]] std::string describe() const override;
 
  private:
-  struct Slot {
-    Tensor* tensor = nullptr;
-    const Tensor* const_tensor = nullptr;
-  };
-
   // Runs `leader_fn` on the last-arriving rank, between the arrival phase and
   // the departure phase. Throws DeadlockError on timeout, AbortedError when
   // the shared token aborts, CheckError on tag or shape mismatch detected at
@@ -86,7 +79,7 @@ class ThreadCollective final : public Collective {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::vector<Slot> slots_;
+  std::vector<Tensor*> slots_;  ///< each rank's in/out buffer for the leader
   std::vector<std::string> tags_;
   std::vector<bool> waiting_;
   int arrived_ = 0;
@@ -94,9 +87,6 @@ class ThreadCollective final : public Collective {
   std::uint64_t generation_ = 0;
   std::uint64_t completed_ = 0;
   std::string failure_;  // non-empty once a rendezvous has failed
-
-  // Scratch owned by the group, used by leader functions.
-  Tensor gather_result_;
 };
 
 /// Factory for the thread backend.

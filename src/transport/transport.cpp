@@ -1,6 +1,7 @@
 #include "transport/transport.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/env.h"
 #include "common/error.h"
@@ -71,6 +72,35 @@ std::chrono::microseconds backoff_delay(const TransportConfig& config, int attem
   z ^= z >> 31;
   const auto quarter = std::max<std::int64_t>(base.count() / 4, 1);
   return base + std::chrono::microseconds(static_cast<std::int64_t>(z % static_cast<std::uint64_t>(quarter)));
+}
+
+PollWait::PollWait(std::chrono::milliseconds timeout, std::shared_ptr<AbortToken> token,
+                   WaitHooks hooks)
+    : t0_(std::chrono::steady_clock::now()),
+      deadline_(t0_ + timeout),
+      token_(std::move(token)),
+      hooks_(std::move(hooks)) {}
+
+void PollWait::lap() {
+  if (hooks_.precheck) hooks_.precheck();
+  if (token_ != nullptr && token_->aborted()) {
+    if (hooks_.on_abort) hooks_.on_abort();
+    throw AbortedError(token_->reason(), hooks_.interrupted());
+  }
+  if (hooks_.check) hooks_.check(attempt_);
+  const auto now = std::chrono::steady_clock::now();
+  if (now >= deadline_) {
+    throw hooks_.expired(
+        std::chrono::duration_cast<std::chrono::milliseconds>(now - t0_).count());
+  }
+  hooks_.park(attempt_, deadline_ - now);
+  ++attempt_;
+}
+
+WaitHooks::Park backoff_park(const TransportConfig& config, std::uint64_t seed) {
+  return [&config, seed](int attempt, std::chrono::steady_clock::duration) {
+    std::this_thread::sleep_for(backoff_delay(config, attempt, seed));
+  };
 }
 
 Transport& default_transport() {

@@ -4,12 +4,12 @@
 //
 // comm/Channel and comm/DeviceGroup are thin facades over the two interfaces
 // here: a Mailbox (bounded tag-addressed FIFO of tensors, the P2P primitive)
-// and a Collective (rendezvous barrier / all-reduce / reduce / broadcast /
-// all-gather, the NCCL stand-in). A Transport is a factory for both, plus
-// the failure-detection substrate that makes a multi-process backend honest:
-// per-rank heartbeats, peer-death detection, and a diagnostic suffix so a
-// timed-out wait names the backend and the last heartbeat age — a hang is
-// then attributable to a dead peer vs. a schedule bug.
+// and a Collective (rendezvous barrier / all-reduce / broadcast — the three
+// ops the runtime issues; the NCCL stand-in). A Transport is a factory for
+// both, plus the failure-detection substrate that makes a multi-process
+// backend honest: per-rank heartbeats, peer-death detection, and a diagnostic
+// suffix so a timed-out wait names the backend and the last heartbeat age — a
+// hang is then attributable to a dead peer vs. a schedule bug.
 //
 // Backends:
 //   threads — the in-process condition-variable rendezvous the runtime has
@@ -24,6 +24,11 @@
 //             bounded backoff, in-band heartbeats, half-open detection) and a
 //             deterministic network-chaos layer. transport/tcp_transport.h.
 //
+// Every blocking mailbox and collective call of every backend waits through
+// one loop, PollWait: deadline, attempt count, local AbortToken check and the
+// park step between polls live there once, and a backend passes only its
+// ready predicate, its own checks and its error texts (WaitHooks).
+//
 // Selection: VOCAB_TRANSPORT={threads,shm,tcp} (strict-parsed; common/env).
 // Tuning: VOCAB_HEARTBEAT_MS, VOCAB_HEARTBEAT_TIMEOUT_MS, VOCAB_RETRY_MAX,
 // VOCAB_RETRY_BACKOFF_MS (TransportConfig::from_env); the lattice
@@ -32,6 +37,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,7 +53,7 @@ struct Message {
   Tensor payload;
 };
 
-/// Reduction operator for all_reduce / reduce.
+/// Reduction operator for all_reduce.
 enum class ReduceOp { Sum, Max };
 
 /// Default timeout for Channel / DeviceGroup waits: VOCAB_COMM_TIMEOUT_MS
@@ -121,6 +127,69 @@ struct PeerStatus {
 [[nodiscard]] std::chrono::microseconds backoff_delay(const TransportConfig& config,
                                                       int attempt, std::uint64_t seed);
 
+/// What one blocking mailbox or collective wait adds to the shared loop in
+/// PollWait. `interrupted`, `expired` and `park` are required; the others may
+/// stay empty. Members are listed in the order a lap runs them. The text
+/// hooks run only when their error is about to be thrown, never on a ready
+/// lap.
+struct WaitHooks {
+  using Park = std::function<void(int attempt, std::chrono::steady_clock::duration remaining)>;
+
+  /// Backend checks that outrank the local token: the tcp supervisor's
+  /// verdict (a dead peer must surface as PeerDeadError) and the loopback
+  /// collective's poison flag.
+  std::function<void()> precheck{};
+  /// Runs just before the AbortedError is thrown: collectives record
+  /// "aborted during ..." as their failure here.
+  std::function<void()> on_abort{};
+  /// The AbortedError context, e.g. "channel recv of tag 'x' interrupted".
+  std::function<std::string()> interrupted{};
+  /// Backend checks the local token outranks, given the attempt count: the
+  /// shm arena's abort block and dead-peer flags.
+  std::function<void(int attempt)> check{};
+  /// The DeadlockError thrown at the deadline, given the elapsed ms.
+  /// Collectives record their failure here too.
+  std::function<DeadlockError(long long elapsed_ms)> expired{};
+  /// Blocks between two polls; `remaining` is the time left to the deadline.
+  /// backoff_park() for the sleep-polling backends, a condition-variable
+  /// wait for the threads backend.
+  Park park{};
+};
+
+/// The one wait loop behind every blocking transport call. It owns the
+/// deadline, the elapsed time, the attempt count and the local AbortToken
+/// check. Each lap that finds `ready()` false runs, in order: precheck, the
+/// token (on_abort, then AbortedError), check(attempt), the deadline
+/// (DeadlockError from expired), then one park step. One PollWait may serve
+/// several consecutive waits of one operation; they share its deadline and
+/// attempt count.
+class PollWait {
+ public:
+  /// Starts the clock. `token` (may be null) is the caller's local abort
+  /// token, read once here.
+  PollWait(std::chrono::milliseconds timeout, std::shared_ptr<AbortToken> token,
+           WaitHooks hooks);
+
+  /// Poll `ready` until it returns true; throws when the wait must end.
+  template <typename Ready>
+  void until(Ready&& ready) {
+    while (!ready()) lap();
+  }
+
+ private:
+  void lap();
+
+  const std::chrono::steady_clock::time_point t0_;
+  const std::chrono::steady_clock::time_point deadline_;
+  const std::shared_ptr<AbortToken> token_;
+  const WaitHooks hooks_;
+  int attempt_ = 0;
+};
+
+/// The park step of the sleep-polling backends (shm, tcp): sleep
+/// backoff_delay(config, attempt, seed). `config` must outlive the wait.
+[[nodiscard]] WaitHooks::Park backoff_park(const TransportConfig& config, std::uint64_t seed);
+
 /// Bounded blocking FIFO of tagged tensors — the backend behind comm/Channel.
 class Mailbox {
  public:
@@ -145,10 +214,7 @@ class Collective {
   virtual void set_abort_token(std::shared_ptr<AbortToken> token) = 0;
   virtual void barrier(int rank, const std::string& tag) = 0;
   virtual void all_reduce(int rank, Tensor& data, ReduceOp op, const std::string& tag) = 0;
-  virtual void reduce(int rank, int root, Tensor& data, ReduceOp op,
-                      const std::string& tag) = 0;
   virtual void broadcast(int rank, int root, Tensor& data, const std::string& tag) = 0;
-  virtual Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag) = 0;
   [[nodiscard]] virtual std::uint64_t completed_collectives() const = 0;
   [[nodiscard]] virtual std::vector<int> waiting_ranks() const = 0;
   [[nodiscard]] virtual std::string describe() const = 0;

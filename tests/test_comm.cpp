@@ -53,19 +53,6 @@ TEST(DeviceGroup, AllReduceMax) {
   });
 }
 
-TEST(DeviceGroup, ReduceDeliversOnlyToRoot) {
-  DeviceGroup group(4);
-  run_ranks(4, [&](int rank) {
-    Tensor t({2}, 1.0f);
-    group.reduce(rank, /*root=*/2, t, ReduceOp::Sum, "reduce");
-    if (rank == 2) {
-      EXPECT_FLOAT_EQ(t.at(0), 4.0f);
-    } else {
-      EXPECT_FLOAT_EQ(t.at(0), 1.0f);  // non-root buffers untouched
-    }
-  });
-}
-
 TEST(DeviceGroup, BroadcastAdoptsRootShapeAndValues) {
   DeviceGroup group(3);
   run_ranks(3, [&](int rank) {
@@ -74,16 +61,6 @@ TEST(DeviceGroup, BroadcastAdoptsRootShapeAndValues) {
     group.broadcast(rank, /*root=*/1, t, "bcast");
     ASSERT_EQ(t.rank(), 2);
     EXPECT_FLOAT_EQ(t.at(1, 1), 7.0f);
-  });
-}
-
-TEST(DeviceGroup, AllGatherRowsConcatenatesInRankOrder) {
-  DeviceGroup group(3);
-  run_ranks(3, [&](int rank) {
-    Tensor t({1, 2}, static_cast<float>(rank));
-    const Tensor gathered = group.all_gather_rows(rank, t, "gather");
-    ASSERT_EQ(gathered.dim(0), 3);
-    for (int r = 0; r < 3; ++r) EXPECT_FLOAT_EQ(gathered.at(r, 0), static_cast<float>(r));
   });
 }
 
@@ -154,14 +131,9 @@ TEST(Channel, SendRecvPreservesOrderAndPayload) {
   const Message m1 = ch.recv();
   EXPECT_EQ(m1.tag, "first");
   EXPECT_FLOAT_EQ(m1.payload.at(0), 1.0f);
-  const Tensor t2 = ch.recv_expect("second");
-  EXPECT_FLOAT_EQ(t2.at(0), 2.0f);
-}
-
-TEST(Channel, RecvExpectRejectsWrongTag) {
-  Channel ch;
-  ch.send("fwd:mb0", Tensor({1}));
-  EXPECT_THROW(ch.recv_expect("fwd:mb1"), CheckError);
+  const Message m2 = ch.recv();
+  EXPECT_EQ(m2.tag, "second");
+  EXPECT_FLOAT_EQ(m2.payload.at(0), 2.0f);
 }
 
 TEST(Channel, CrossThreadTransfer) {
@@ -170,8 +142,9 @@ TEST(Channel, CrossThreadTransfer) {
     for (int i = 0; i < 100; ++i) ch.send("mb" + std::to_string(i), Tensor({1}, static_cast<float>(i)));
   });
   for (int i = 0; i < 100; ++i) {
-    const Tensor t = ch.recv_expect("mb" + std::to_string(i));
-    EXPECT_FLOAT_EQ(t.at(0), static_cast<float>(i));
+    const Message m = ch.recv();
+    EXPECT_EQ(m.tag, "mb" + std::to_string(i));
+    EXPECT_FLOAT_EQ(m.payload.at(0), static_cast<float>(i));
   }
   producer.join();
   EXPECT_TRUE(ch.empty());
@@ -216,8 +189,12 @@ TEST(Channel, FullSendBlocksUntilDrained) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(second_sent) << "send into a full channel must block";
-  EXPECT_FLOAT_EQ(ch.recv_expect("first").at(0), 1.0f);
-  EXPECT_FLOAT_EQ(ch.recv_expect("second").at(0), 2.0f);
+  const Message first = ch.recv();
+  EXPECT_EQ(first.tag, "first");
+  EXPECT_FLOAT_EQ(first.payload.at(0), 1.0f);
+  const Message second = ch.recv();
+  EXPECT_EQ(second.tag, "second");
+  EXPECT_FLOAT_EQ(second.payload.at(0), 2.0f);
   producer.join();
   EXPECT_TRUE(second_sent);
 }
