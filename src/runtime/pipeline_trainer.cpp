@@ -222,7 +222,6 @@ ScheduleExecutor& PipelineTrainer::executor_for(int m, bool with_clip) {
     case PipelineFlavor::ZbVocab: {
       ZbOptions opts;
       opts.w_delay = tuning_.zb_w_delay;
-      opts.inserted_intervals = tuning_.inserted_intervals;
       sched = build_zb_vocab(cm, p_, algo_, "", opts);
       break;
     }

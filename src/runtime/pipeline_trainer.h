@@ -73,8 +73,6 @@ struct ScheduleTuning {
   /// ZbVocab: whole cycles each BW lags its BI (controllable-memory dial).
   /// 0 keeps 1F1B-vocab's peak activation memory; each +1 adds 1/3 mb.
   int zb_w_delay = 1;
-  /// Override the inserted-interval count; -1 = the algorithm's default.
-  int inserted_intervals = -1;
   /// Auto: peak-memory cap (bytes/device) the search filters by; 0 = uncapped.
   double memory_cap_bytes = 0.0;
 };

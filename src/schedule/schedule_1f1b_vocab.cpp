@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "schedule/builder.h"
 #include "schedule/layer_assignment.h"
+#include "schedule/schedule_zb.h"
 
 namespace vocab {
 
@@ -28,20 +29,28 @@ namespace {
 // {S, T, i, j} are bin-packed per device into the two gaps the rotated B
 // leaves, and B's position is rounded up to the nearest packing boundary
 // (the tiny rounding becomes wave slack, not a bubble).
+//
+// Split backward (the zero-bubble member, arXiv:2401.10241): B becomes BI
+// (activation gradients) + BW (parameter gradients). BI takes B's place as
+// the rotating wave block, so the wave propagates at tBI per hop instead of
+// tB; BW joins the small passes as one more packable item, forced after BI
+// (F < BI < BW is the verifier's semantic order), and lags its BI by
+// `w_delay` whole cycles — the controllable-memory dial of arXiv:2405.15362:
+// each deferred BW holds one more third of a microbatch's activations.
 // ---------------------------------------------------------------------------
 
 struct Item {
-  char kind;       // 'S', 'T', 'i', 'j'
+  char kind;  // 'w', 'S', 'T', 'i', 'j'
   double duration;
 };
 
 struct DeviceLayout {
-  int b_lag = 0;          ///< B(mb) runs in device-local cycle mb + b_lag
+  int b_lag = 0;          ///< B(mb) (BI when split) runs in device-local cycle mb + b_lag
   double b_pos = 0.0;     ///< B's position within the cycle
   double global_b = 0.0;  ///< steady-state global start of B(0) on this device
   // Position within the cycle of each small pass, keyed by kind.
-  double pos_s = 0, pos_t = 0, pos_i = 0, pos_j = 0;
-  int lag_s = 0, lag_t = 0, lag_i = 0, lag_j = 0;
+  double pos_s = 0, pos_t = 0, pos_i = 0, pos_j = 0, pos_w = 0;
+  int lag_s = 0, lag_t = 0, lag_i = 0, lag_j = 0, lag_w = 0;
 };
 
 double& pos_of(DeviceLayout& dl, char kind) {
@@ -49,6 +58,7 @@ double& pos_of(DeviceLayout& dl, char kind) {
     case 'S': return dl.pos_s;
     case 'T': return dl.pos_t;
     case 'i': return dl.pos_i;
+    case 'w': return dl.pos_w;
     default: return dl.pos_j;
   }
 }
@@ -56,8 +66,8 @@ double& pos_of(DeviceLayout& dl, char kind) {
 /// Pack `items` into gap1 [tF, b_pos) and gap2 [b_pos + tB, I), choosing the
 /// smallest feasible b_pos >= `b_pos_req`. Returns the chosen b_pos and
 /// writes item positions into `dl`. `forced_gap2_mask` marks items that must
-/// come after B (Alg2's delayed T pass); `forced_gap1_mask` marks items that
-/// must come before it (Alg1's T, which gates B via barrier C2).
+/// come after B (a split backward's BW); `forced_gap1_mask` marks items that
+/// must come before it (Alg1's S and T, which gate B via barrier C2).
 double pack_cycle(DeviceLayout& dl, const std::vector<Item>& items, double tF, double tB,
                   double interval, double b_pos_req, unsigned forced_gap1_mask,
                   unsigned forced_gap2_mask) {
@@ -99,6 +109,11 @@ double pack_cycle(DeviceLayout& dl, const std::vector<Item>& items, double tF, d
   return best_pos;
 }
 
+/// Duration of the wave-carrying backward block: B, or BI when split.
+double wave_backward_time(const CostModel& cm, int layers, bool split) {
+  return split ? cm.time_b_input(layers) : cm.time_b_full(layers);
+}
+
 struct VocabLayout {
   double interval = 0.0;
   double s_global = 0.0;  ///< global steady-state offset of S(0) (all devices)
@@ -107,19 +122,20 @@ struct VocabLayout {
 };
 
 VocabLayout compute_layout(const CostModel& cm, int p, OutputAlgo algo,
-                           int inserted_intervals = -1) {
+                           int inserted_intervals = -1, bool split = false, int w_delay = 0) {
   VOCAB_CHECK(algo == OutputAlgo::Alg1 || algo == OutputAlgo::Alg2,
               "vocabulary-parallel schedules use Alg1 or Alg2");
   const int layers = cm.config().num_layers / p;
   const double tF = cm.time_f(layers);
-  const double tB = cm.time_b_full(layers);
+  const double tB = wave_backward_time(cm, layers, split);
+  const double tBW = split ? cm.time_b_weight(layers) : 0.0;
   const double tS = cm.time_output_s(algo, p);
   const double tT = cm.time_output_t(algo, p);
   const double tIF = cm.time_input_shard_fwd(p);
   const double tIB = cm.time_input_shard_bwd(p);
 
   VocabLayout lay;
-  lay.interval = tF + tB + tS + tT + tIF + tIB;
+  lay.interval = tF + tB + tBW + tS + tT + tIF + tIB;
   const double I = lay.interval;
   lay.s_global = p * tF + cm.time_x_broadcast(p);
   lay.devices.resize(static_cast<std::size_t>(p));
@@ -135,14 +151,21 @@ VocabLayout compute_layout(const CostModel& cm, int p, OutputAlgo algo,
                                                       : num_barriers(algo));
   const double b_last_global = lay.s_global + lay.gap * I;
 
-  const std::vector<Item> items{{'S', tS}, {'T', tT}, {'i', tIF}, {'j', tIB}};
+  // Item order fixes the mask bit layout and the packer's tie-break. A split
+  // BW leads the vector so the gap2 cursor lays it out directly after BI —
+  // filler work that overlaps the jBC broadcast latency instead of stacking
+  // on top of it (j, the only latency-bound gap2 item, must come last).
+  std::vector<Item> items{{'S', tS}, {'T', tT}, {'i', tIF}, {'j', tIB}};
+  if (split) items.insert(items.begin(), Item{'w', tBW});
+  const unsigned w_bit = split ? 1u : 0u;
+  // BW must follow its own BI, so it can never sit in gap1.
   // Alg1: S and T both precede B in every lane (items lay out in S-then-T
   // order within the gap), since B transitively waits on both via C2.
   // Alg2's T is free — "arbitrarily delayed" in the paper means it has no
   // consumers, so it may sit anywhere after C1; leaving it packable keeps
   // the B-wave boundaries reachable and releases the S->T shard state early.
-  const unsigned forced_gap2 = 0u;
-  const unsigned forced_gap1 = algo == OutputAlgo::Alg1 ? 0b0011u : 0u;
+  const unsigned forced_gap2 = w_bit;
+  const unsigned forced_gap1 = algo == OutputAlgo::Alg1 ? 0b0011u << w_bit : 0u;
 
   double wave = b_last_global;  // required global start of B on this device
   for (int d = p - 1; d >= 0; --d) {
@@ -153,7 +176,7 @@ VocabLayout compute_layout(const CostModel& cm, int p, OutputAlgo algo,
     if (pos_req < tF) {
       pos_req = tF;  // B can at best follow this cycle's F
     }
-    if (pos_req > I - tB + 1e-9) {  // doesn't fit this cycle: carry into next
+    if (pos_req > I - tB - tBW + 1e-9) {  // doesn't fit this cycle: carry into next
       ++lag;
       pos_req = tF;
     }
@@ -167,6 +190,8 @@ VocabLayout compute_layout(const CostModel& cm, int p, OutputAlgo algo,
     dl.global_b = phi + lag * I + pos;
     // The rounding slack feeds the wave upstream.
     wave = dl.global_b + tB;
+    // BW lags its BI by w_delay whole cycles (0 = same cycle, packed after).
+    dl.lag_w = dl.b_lag + w_delay;
 
     // Small-pass cycle lags. S(mb) needs C0(mb), done by lay.s_global; with
     // ceil() the hosting cycle starts at or after that, so S never waits.
@@ -209,7 +234,7 @@ VocabLayout compute_layout(const CostModel& cm, int p, OutputAlgo algo,
 
 /// The passes of one microbatch's vocabulary-parallel building block, in the
 /// order a lone microbatch would issue them.
-enum class Pass { i, iAR, F, C0, S, C1, T, C2, B, jBC, j };
+enum class Pass { i, iAR, F, C0, S, C1, T, C2, B, W, jBC, j };
 
 /// Issue slot of `pass` for microbatch `mb` on device `d`. Collectives are
 /// asked once per microbatch (d = 0) and share that slot on every member.
@@ -218,15 +243,16 @@ using SlotFn = std::function<double(Pass pass, int d, int mb)>;
 /// Emit every microbatch's building block — the same ops, dependencies and
 /// memory accounting for every vocab schedule; only `slot` (hence each lane's
 /// issue order) differs between 1F1B-vocab and the sequential naive order.
+/// `split` emits each backward as BI + BW (the zero-bubble member).
 PipelineSchedule emit_vocab_schedule(const CostModel& cm, int p, OutputAlgo algo,
-                                     const std::string& name, const SlotFn& slot) {
+                                     const std::string& name, bool split, const SlotFn& slot) {
   const int m = cm.config().num_microbatches;
   const LayerAssignment assign = uniform_assignment(cm.config().num_layers, p);
   const int layers = assign.layers_per_stage[0];
   ScheduleBuilder b(name, p, m);
 
   const double tF = cm.time_f(layers);
-  const double tB = cm.time_b_full(layers);
+  const double tB = wave_backward_time(cm, layers, split);
   const double tS = cm.time_output_s(algo, p);
   const double tT = cm.time_output_t(algo, p);
   const double tIF = cm.time_input_shard_fwd(p);
@@ -325,14 +351,16 @@ PipelineSchedule emit_vocab_schedule(const CostModel& cm, int p, OutputAlgo algo
       op.deps.push_back(c1[static_cast<std::size_t>(d)]);
       t_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot(Pass::T, d, mb));
     };
+    // A split BI frees the two thirds of the activations the weight pass
+    // won't need; BW (below) releases the final third.
     auto make_b = [&](int d, int gate_op) {
       Op op;
       op.device = d;
-      op.kind = OpKind::BackwardFull;
+      op.kind = split ? OpKind::BackwardInput : OpKind::BackwardFull;
       op.microbatch = mb;
       op.duration = tB;
       op.label = "B" + std::to_string(mb);
-      op.free_bytes = act;
+      op.free_bytes = split ? act * (2.0 / 3.0) : act;
       op.deps.push_back(f_ids[static_cast<std::size_t>(d)]);
       op.deps.push_back(gate_op);
       b_ids[static_cast<std::size_t>(d)] = b.add(std::move(op), slot(Pass::B, d, mb));
@@ -357,6 +385,22 @@ PipelineSchedule emit_vocab_schedule(const CostModel& cm, int p, OutputAlgo algo
       for (int d = 0; d < p; ++d) make_t(d);
     }
 
+    // --- deferred weight passes (split backward only) --------------------------
+    // Per-device lane slots are monotone in mb (equal lags), so each stage's
+    // BW ops execute in microbatch order — the property that keeps parameter
+    // gradient accumulation bit-identical to the combined backward.
+    for (int d = 0; split && d < p; ++d) {
+      Op op;
+      op.device = d;
+      op.kind = OpKind::BackwardWeight;
+      op.microbatch = mb;
+      op.duration = cm.time_b_weight(layers);
+      op.label = "W" + std::to_string(mb);
+      op.free_bytes = act / 3.0;
+      op.deps.push_back(b_ids[static_cast<std::size_t>(d)]);
+      b.add(std::move(op), slot(Pass::W, d, mb));
+    }
+
     // --- input layer backward ------------------------------------------------
     std::vector<std::vector<int>> ibb_deps(static_cast<std::size_t>(p), {b_ids[0]});
     const std::vector<int> ibb =
@@ -379,6 +423,48 @@ PipelineSchedule emit_vocab_schedule(const CostModel& cm, int p, OutputAlgo algo
                                  layers * cm.transformer_layer_param_bytes() +
                                      2.0 * cm.vocab_shard_param_bytes(p));
   return b.finalize(std::move(base_bytes));
+}
+
+/// 1F1B-vocab's building block repeated per microbatch under the packed
+/// cycle layout; `split` selects the zero-bubble member (B = BI + BW).
+PipelineSchedule build_packed_vocab(const CostModel& cm, int p, OutputAlgo algo,
+                                    const std::string& name, int inserted_intervals,
+                                    bool split, int w_delay) {
+  VOCAB_CHECK(cm.config().num_microbatches >= p, "need at least p microbatches");
+  VOCAB_CHECK(p >= 2, "vocabulary parallelism needs >= 2 devices");
+  const int layers = cm.config().num_layers / p;
+  const VocabLayout lay = compute_layout(cm, p, algo, inserted_intervals, split, w_delay);
+  const double I = lay.interval;
+  const double tF = cm.time_f(layers);
+  const double tB = wave_backward_time(cm, layers, split);
+  const double tS = cm.time_output_s(algo, p);
+  const double tT = cm.time_output_t(algo, p);
+
+  // Device-local slot: the op's steady-state time under the packed layout.
+  const auto slot = [&](Pass pass, int d, int mb) {
+    const DeviceLayout& dl = lay.devices[static_cast<std::size_t>(d)];
+    const auto local = [&](int lag, double pos) { return d * tF + (mb + lag) * I + pos; };
+    switch (pass) {
+      case Pass::i: return local(dl.lag_i, dl.pos_i);
+      case Pass::iAR: return (mb - 1) * I;
+      case Pass::F: return local(0, 0.0);
+      case Pass::C0: return p * tF + mb * I;
+      case Pass::S: return local(dl.lag_s, dl.pos_s);
+      case Pass::C1: return lay.s_global + tS + mb * I;
+      case Pass::T: return local(dl.lag_t, dl.pos_t);
+      // C2's comm-lane position must follow every device's T issue slot —
+      // place it at the backward wave's start (gap intervals after S).
+      case Pass::C2:
+        return std::max(lay.s_global + lay.gap * I - 0.5 * tT, lay.s_global + tS + tT) +
+               mb * I;
+      case Pass::B: return local(dl.b_lag, dl.b_pos);
+      case Pass::W: return local(dl.lag_w, dl.pos_w);
+      case Pass::jBC: return lay.devices[0].global_b + tB + mb * I;
+      case Pass::j: return local(dl.lag_j, dl.pos_j);
+    }
+    return 0.0;
+  };
+  return emit_vocab_schedule(cm, p, algo, name, split, slot);
 }
 
 }  // namespace
@@ -408,42 +494,21 @@ VocabBlockOffsets vocab_block_offsets(const CostModel& cm, int p, OutputAlgo alg
 
 PipelineSchedule build_1f1b_vocab(const CostModel& cm, int p, OutputAlgo algo,
                                   const std::string& name, int inserted_intervals) {
-  VOCAB_CHECK(cm.config().num_microbatches >= p, "need at least p microbatches");
-  VOCAB_CHECK(p >= 2, "vocabulary parallelism needs >= 2 devices");
-  const int layers = cm.config().num_layers / p;
-  const VocabLayout lay = compute_layout(cm, p, algo, inserted_intervals);
-  const double I = lay.interval;
-  const double tF = cm.time_f(layers);
-  const double tB = cm.time_b_full(layers);
-  const double tS = cm.time_output_s(algo, p);
-  const double tT = cm.time_output_t(algo, p);
+  return build_packed_vocab(cm, p, algo,
+                            name.empty() ? std::string("1f1b-") + to_string(algo) : name,
+                            inserted_intervals, false, 0);
+}
 
-  // Device-local slot: the op's steady-state time under the packed layout.
-  const auto slot = [&](Pass pass, int d, int mb) {
-    const DeviceLayout& dl = lay.devices[static_cast<std::size_t>(d)];
-    const auto local = [&](int lag, double pos) { return d * tF + (mb + lag) * I + pos; };
-    switch (pass) {
-      case Pass::i: return local(dl.lag_i, dl.pos_i);
-      case Pass::iAR: return (mb - 1) * I;
-      case Pass::F: return local(0, 0.0);
-      case Pass::C0: return p * tF + mb * I;
-      case Pass::S: return local(dl.lag_s, dl.pos_s);
-      case Pass::C1: return lay.s_global + tS + mb * I;
-      case Pass::T: return local(dl.lag_t, dl.pos_t);
-      // C2's comm-lane position must follow every device's T issue slot —
-      // place it at the backward wave's start (gap intervals after S).
-      case Pass::C2:
-        return std::max(lay.s_global + lay.gap * I - 0.5 * tT, lay.s_global + tS + tT) +
-               mb * I;
-      case Pass::B: return local(dl.b_lag, dl.b_pos);
-      case Pass::jBC: return lay.devices[0].global_b + tB + mb * I;
-      case Pass::j: return local(dl.lag_j, dl.pos_j);
-    }
-    return 0.0;
-  };
-  return emit_vocab_schedule(cm, p, algo,
-                             name.empty() ? std::string("1f1b-") + to_string(algo) : name,
-                             slot);
+PipelineSchedule build_zb_vocab(const CostModel& cm, int p, OutputAlgo algo,
+                                const std::string& name, ZbOptions opts) {
+  VOCAB_CHECK(opts.w_delay >= 0 && opts.w_delay <= 8,
+              "w_delay must be in [0, 8], got " << opts.w_delay);
+  return build_packed_vocab(
+      cm, p, algo,
+      name.empty() ? std::string("zb-vocab-") + (algo == OutputAlgo::Alg1 ? "1" : "2") + "-w" +
+                         std::to_string(opts.w_delay)
+                   : name,
+      opts.inserted_intervals, true, opts.w_delay);
 }
 
 PipelineSchedule build_naive_vocab(const CostModel& cm, int p, OutputAlgo algo,
@@ -480,6 +545,7 @@ PipelineSchedule build_naive_vocab(const CostModel& cm, int p, OutputAlgo algo,
       case Pass::T: offset = t; break;
       case Pass::C2: offset = c2; break;
       case Pass::B: offset = b_last + (p - 1 - d) * tB; break;
+      case Pass::W: break;  // the naive schedule never splits its backward
       case Pass::jBC: offset = jbc; break;
       case Pass::j: offset = jbc + tBC; break;
     }
@@ -487,7 +553,7 @@ PipelineSchedule build_naive_vocab(const CostModel& cm, int p, OutputAlgo algo,
   };
   return emit_vocab_schedule(cm, p, algo,
                              name.empty() ? std::string("naive-") + to_string(algo) : name,
-                             slot);
+                             false, slot);
 }
 
 }  // namespace vocab

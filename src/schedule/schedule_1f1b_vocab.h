@@ -10,6 +10,10 @@
 // repeat the block once per microbatch. Peak activation memory rises by
 // exactly the number of communication barriers: p+2 microbatches for
 // Algorithm 1, p+1 for Algorithm 2.
+//
+// The same block builds two more schedules in schedule_1f1b_vocab.cpp: the
+// naive baseline below (one microbatch at a time) and the zero-bubble
+// member with a split backward (build_zb_vocab, schedule_zb.h).
 
 #include <string>
 

@@ -2,14 +2,17 @@
 
 // Zero-bubble vocabulary-parallel schedules (ZB-H1 lineage).
 //
-// Splits each transformer backward into BI (activation gradients, on the
-// pipeline critical path) and BW (parameter gradients, deferrable filler),
-// following *Zero Bubble Pipeline Parallelism* (arXiv:2401.10241). The
-// backward wave then propagates at tBI per hop instead of tB, and the BW
-// passes are packed into the residual intervals alongside the paper's
-// vocabulary S/T passes — the same §5.2 bin-packing freedom, with one more
-// movable block. The `w_delay` knob is the controllable-memory dial of
-// *Pipeline Parallelism with Controllable Memory* (arXiv:2405.15362):
+// 1F1B-vocab's building block with each transformer backward split into BI
+// (activation gradients, on the pipeline critical path) and BW (parameter
+// gradients, deferrable filler), following *Zero Bubble Pipeline
+// Parallelism* (arXiv:2401.10241). One generator builds both: the cycle
+// layout, packer and emitter live in schedule_1f1b_vocab.cpp, where this
+// header's build_zb_vocab is defined. The backward wave propagates at tBI
+// per hop instead of tB, and the BW passes are packed into the residual
+// intervals alongside the paper's vocabulary S/T passes — the same §5.2
+// bin-packing freedom, with one more movable block. The `w_delay` knob is
+// the controllable-memory dial of *Pipeline Parallelism with Controllable
+// Memory* (arXiv:2405.15362):
 // each +1 cycle of BW deferral holds one more third of a microbatch's
 // activations but gives the drain phase another tBW of fill per device.
 //

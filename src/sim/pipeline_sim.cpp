@@ -39,23 +39,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// VOCAB_VERIFY_SCHEDULES overrides the build-type default in either
-/// direction (strict boolean: 0/1/false/true/off/on/no/yes): a false value
-/// disables verification even in debug builds, a true value enables it even
-/// in release builds. Unset, debug builds verify and release builds don't.
-/// The verifier proves deadlock-freedom, so a failure here points at the
+/// Verification is on by default in every build type; VOCAB_VERIFY_SCHEDULES
+/// (strict boolean: 0/1/false/true/off/on/no/yes) set false opts out. The
+/// verifier proves deadlock-freedom, so a failure here points at the
 /// generator, not at the simulation.
 bool verify_precondition_enabled(SimVerify verify) {
   if (verify == SimVerify::kOn) return true;
   if (verify == SimVerify::kOff) return false;
-  static const bool enabled = [] {
-#ifndef NDEBUG
-    const bool fallback = false;
-#else
-    const bool fallback = true;
-#endif
-    return bool_from_env("VOCAB_VERIFY_SCHEDULES", fallback);
-  }();
+  static const bool enabled = bool_from_env("VOCAB_VERIFY_SCHEDULES", true);
   return enabled;
 }
 

@@ -46,7 +46,7 @@ struct SimResult {
 
 /// Whether simulate() statically verifies the schedule before running it.
 enum class SimVerify {
-  kAuto,  ///< VOCAB_VERIFY_SCHEDULES decides; unset means on in debug, off in release
+  kAuto,  ///< verify unless VOCAB_VERIFY_SCHEDULES is set false (any build type)
   kOn,    ///< always verify
   kOff,   ///< never verify (e.g. deliberately broken schedules in tests)
 };

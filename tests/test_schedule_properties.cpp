@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <map>
 #include <string>
 #include <tuple>
 
 #include "analysis/verifier.h"
+#include "common/crc32.h"
 #include "cost/cost_model.h"
+#include "program/compiler.h"
 #include "schedule/building_block.h"
 #include "schedule/layer_assignment.h"
 #include "schedule/schedule_1f1b.h"
@@ -18,6 +23,7 @@
 #include "schedule/schedule_gpipe.h"
 #include "schedule/schedule_interlaced.h"
 #include "schedule/schedule_vhalf.h"
+#include "schedule/schedule_zb.h"
 #include "sim/pipeline_sim.h"
 
 namespace vocab {
@@ -84,6 +90,12 @@ TEST_P(AllSchedules, EveryGeneratorIsStaticallyCertified) {
     out.push_back(build_gpipe(model, gpus, uniform));
     out.push_back(build_gpipe_vocab(model, gpus, OutputAlgo::Alg1));
     out.push_back(build_gpipe_vocab(model, gpus, OutputAlgo::Alg2));
+    for (const OutputAlgo algo : {OutputAlgo::Alg1, OutputAlgo::Alg2}) {
+      out.push_back(build_naive_vocab(model, gpus, algo));
+      for (const int w : {0, 1}) {
+        out.push_back(build_zb_vocab(model, gpus, algo, "", ZbOptions{w, -1}));
+      }
+    }
     return out;
   }();
   for (const auto& sched : schedules) {
@@ -293,6 +305,212 @@ TEST(MethodOrdering, VocabThroughputFlatWithin5Percent) {
       hi = std::max(hi, mfu);
     }
     EXPECT_LT((hi - lo) / hi, 0.06) << to_string(algo);
+  }
+}
+
+// ---- schedule identity pins ---------------------------------------------------------
+//
+// A CRC32 of each vocabulary generator's integer structure, pinned per case
+// so that a refactor of the generators is provably behaviour-preserving:
+// every lane's issue order as (kind, microbatch, chunk, label), each op's
+// dependencies and collective peers named by op signature rather than id,
+// and the compiled per-device dispatch order. No floating-point value is
+// hashed; durations and bytes are covered by the simulator and verifier
+// suites above.
+
+std::string op_signature(const Op& op) {
+  return std::to_string(op.device) + ":" + std::to_string(static_cast<int>(op.stream)) + ":" +
+         to_string(op.kind) + ":" + std::to_string(op.microbatch) + ":" +
+         std::to_string(op.chunk) + ":" + op.label;
+}
+
+std::uint32_t structure_crc(const PipelineSchedule& sched) {
+  std::map<int, std::string> peers;  // collective id -> members in op-id order
+  for (const Op& op : sched.ops) {
+    if (op.collective >= 0) peers[op.collective] += " " + op_signature(op);
+  }
+  std::string text = sched.name + "\n";
+  for (const DeviceLanes& lanes : sched.devices) {
+    for (const Stream stream : {Stream::Compute, Stream::Comm, Stream::CommAlt}) {
+      text += "lane\n";
+      for (const int id : lanes.lane(stream)) {
+        const Op& op = sched.op(id);
+        text += op_signature(op) + " <-";
+        for (const int dep : op.deps) text += " " + op_signature(sched.op(dep));
+        if (op.collective >= 0) text += " |" + peers[op.collective];
+        text += "\n";
+      }
+    }
+  }
+  for (const std::vector<int>& seq : program::device_sequences(program::compile_schedule(sched))) {
+    text += "dispatch\n";
+    for (const int id : seq) text += op_signature(sched.op(id)) + "\n";
+  }
+  return crc32(text.data(), text.size());
+}
+
+struct IdentityCase {
+  const char* family;  ///< "1f1b-vocab", "naive", "zb-vocab", "gpipe-vocab", "vhalf-vocab"
+  int p;
+  int m;
+  OutputAlgo algo;
+  int variant;  ///< inserted_intervals (1f1b-vocab) or w_delay (zb-vocab); else -1
+  std::uint32_t crc;
+};
+
+PipelineSchedule build_identity_case(const IdentityCase& c) {
+  ModelConfig mc;
+  mc.num_layers = 2 * c.p;
+  mc.attention_heads = 4;
+  mc.hidden = 512;
+  mc.seq_len = 128;
+  mc.vocab = 32768;
+  mc.microbatch = 1;
+  mc.num_microbatches = c.m;
+  const CostModel cm(mc, HardwareModel{});
+  const std::string family = c.family;
+  if (family == "1f1b-vocab") return build_1f1b_vocab(cm, c.p, c.algo, "", c.variant);
+  if (family == "naive") return build_naive_vocab(cm, c.p, c.algo);
+  if (family == "zb-vocab") return build_zb_vocab(cm, c.p, c.algo, "", ZbOptions{c.variant, -1});
+  if (family == "gpipe-vocab") return build_gpipe_vocab(cm, c.p, c.algo);
+  return build_vhalf_vocab(cm, c.p);
+}
+
+// p in {2,4,8} x m in {p,2p} x {Alg1,Alg2}. 1F1B-vocab runs its default and
+// every certified inserted-interval ablation in [0, 4] (Alg2 at 0 is not
+// certifiable); V-Half-vocab exists for Alg1 only.
+const IdentityCase kIdentityPins[] = {
+    {"1f1b-vocab", 2, 2, OutputAlgo::Alg1, -1, 0xbb318af0u},
+    {"1f1b-vocab", 2, 2, OutputAlgo::Alg1, 0, 0x3f94d82bu},
+    {"1f1b-vocab", 2, 2, OutputAlgo::Alg1, 1, 0x3f94d82bu},
+    {"1f1b-vocab", 2, 2, OutputAlgo::Alg1, 3, 0x0fcb2530u},
+    {"1f1b-vocab", 2, 2, OutputAlgo::Alg1, 4, 0x0fcb2530u},
+    {"naive", 2, 2, OutputAlgo::Alg1, -1, 0x8e735b6au},
+    {"zb-vocab", 2, 2, OutputAlgo::Alg1, 0, 0xba09b592u},
+    {"zb-vocab", 2, 2, OutputAlgo::Alg1, 1, 0x3cf74bc2u},
+    {"zb-vocab", 2, 2, OutputAlgo::Alg1, 2, 0x95128f34u},
+    {"gpipe-vocab", 2, 2, OutputAlgo::Alg1, -1, 0xca0ab21fu},
+    {"vhalf-vocab", 2, 2, OutputAlgo::Alg1, -1, 0x9983e13du},
+    {"1f1b-vocab", 2, 2, OutputAlgo::Alg2, -1, 0x508acf35u},
+    {"1f1b-vocab", 2, 2, OutputAlgo::Alg2, 2, 0x732b919au},
+    {"1f1b-vocab", 2, 2, OutputAlgo::Alg2, 3, 0x6e7d38d8u},
+    {"1f1b-vocab", 2, 2, OutputAlgo::Alg2, 4, 0x6e7d38d8u},
+    {"naive", 2, 2, OutputAlgo::Alg2, -1, 0x17c38348u},
+    {"zb-vocab", 2, 2, OutputAlgo::Alg2, 0, 0x265629b6u},
+    {"zb-vocab", 2, 2, OutputAlgo::Alg2, 1, 0x6f8c6e8bu},
+    {"zb-vocab", 2, 2, OutputAlgo::Alg2, 2, 0x9bbc0ce0u},
+    {"gpipe-vocab", 2, 2, OutputAlgo::Alg2, -1, 0x423d2141u},
+    {"1f1b-vocab", 2, 4, OutputAlgo::Alg1, -1, 0x64b07467u},
+    {"1f1b-vocab", 2, 4, OutputAlgo::Alg1, 0, 0xcd4a16beu},
+    {"1f1b-vocab", 2, 4, OutputAlgo::Alg1, 1, 0xcd4a16beu},
+    {"1f1b-vocab", 2, 4, OutputAlgo::Alg1, 3, 0xba68757bu},
+    {"1f1b-vocab", 2, 4, OutputAlgo::Alg1, 4, 0xd58724d8u},
+    {"naive", 2, 4, OutputAlgo::Alg1, -1, 0xd7940168u},
+    {"zb-vocab", 2, 4, OutputAlgo::Alg1, 0, 0x5f7d7bf8u},
+    {"zb-vocab", 2, 4, OutputAlgo::Alg1, 1, 0xf5b1d030u},
+    {"zb-vocab", 2, 4, OutputAlgo::Alg1, 2, 0x89b3b895u},
+    {"gpipe-vocab", 2, 4, OutputAlgo::Alg1, -1, 0xbea1b8a1u},
+    {"vhalf-vocab", 2, 4, OutputAlgo::Alg1, -1, 0xed1a3fa5u},
+    {"1f1b-vocab", 2, 4, OutputAlgo::Alg2, -1, 0x3192ab86u},
+    {"1f1b-vocab", 2, 4, OutputAlgo::Alg2, 2, 0x5854e874u},
+    {"1f1b-vocab", 2, 4, OutputAlgo::Alg2, 3, 0x918ff7afu},
+    {"1f1b-vocab", 2, 4, OutputAlgo::Alg2, 4, 0xea118ff6u},
+    {"naive", 2, 4, OutputAlgo::Alg2, -1, 0xb60bc067u},
+    {"zb-vocab", 2, 4, OutputAlgo::Alg2, 0, 0xf140aa1du},
+    {"zb-vocab", 2, 4, OutputAlgo::Alg2, 1, 0x5de7f6edu},
+    {"zb-vocab", 2, 4, OutputAlgo::Alg2, 2, 0x66659587u},
+    {"gpipe-vocab", 2, 4, OutputAlgo::Alg2, -1, 0x4872e9e5u},
+    {"1f1b-vocab", 4, 4, OutputAlgo::Alg1, -1, 0xed6a0376u},
+    {"1f1b-vocab", 4, 4, OutputAlgo::Alg1, 0, 0x1b87b05cu},
+    {"1f1b-vocab", 4, 4, OutputAlgo::Alg1, 1, 0x1b87b05cu},
+    {"1f1b-vocab", 4, 4, OutputAlgo::Alg1, 3, 0xb9ae684au},
+    {"1f1b-vocab", 4, 4, OutputAlgo::Alg1, 4, 0xe0cf6f15u},
+    {"naive", 4, 4, OutputAlgo::Alg1, -1, 0x1c252812u},
+    {"zb-vocab", 4, 4, OutputAlgo::Alg1, 0, 0x1a60f9a1u},
+    {"zb-vocab", 4, 4, OutputAlgo::Alg1, 1, 0x0d5fe578u},
+    {"zb-vocab", 4, 4, OutputAlgo::Alg1, 2, 0x7b3ea9bdu},
+    {"gpipe-vocab", 4, 4, OutputAlgo::Alg1, -1, 0x5066d710u},
+    {"vhalf-vocab", 4, 4, OutputAlgo::Alg1, -1, 0x811e6968u},
+    {"1f1b-vocab", 4, 4, OutputAlgo::Alg2, -1, 0x586e3394u},
+    {"1f1b-vocab", 4, 4, OutputAlgo::Alg2, 2, 0xb6cf5f52u},
+    {"1f1b-vocab", 4, 4, OutputAlgo::Alg2, 3, 0x1e62ac24u},
+    {"1f1b-vocab", 4, 4, OutputAlgo::Alg2, 4, 0xc5cf5d34u},
+    {"naive", 4, 4, OutputAlgo::Alg2, -1, 0x562403d2u},
+    {"zb-vocab", 4, 4, OutputAlgo::Alg2, 0, 0x90466923u},
+    {"zb-vocab", 4, 4, OutputAlgo::Alg2, 1, 0xa2843704u},
+    {"zb-vocab", 4, 4, OutputAlgo::Alg2, 2, 0xd75a16e8u},
+    {"gpipe-vocab", 4, 4, OutputAlgo::Alg2, -1, 0xc3ab10bdu},
+    {"1f1b-vocab", 4, 8, OutputAlgo::Alg1, -1, 0x7c327d8fu},
+    {"1f1b-vocab", 4, 8, OutputAlgo::Alg1, 0, 0xf1a037beu},
+    {"1f1b-vocab", 4, 8, OutputAlgo::Alg1, 1, 0xf1a037beu},
+    {"1f1b-vocab", 4, 8, OutputAlgo::Alg1, 3, 0x354e4aabu},
+    {"1f1b-vocab", 4, 8, OutputAlgo::Alg1, 4, 0xf38e25a8u},
+    {"naive", 4, 8, OutputAlgo::Alg1, -1, 0x1b0c56c3u},
+    {"zb-vocab", 4, 8, OutputAlgo::Alg1, 0, 0x7bcd9e52u},
+    {"zb-vocab", 4, 8, OutputAlgo::Alg1, 1, 0xb3366f63u},
+    {"zb-vocab", 4, 8, OutputAlgo::Alg1, 2, 0x4998feb9u},
+    {"gpipe-vocab", 4, 8, OutputAlgo::Alg1, -1, 0xa395965au},
+    {"vhalf-vocab", 4, 8, OutputAlgo::Alg1, -1, 0xa1de7396u},
+    {"1f1b-vocab", 4, 8, OutputAlgo::Alg2, -1, 0x663a6b6bu},
+    {"1f1b-vocab", 4, 8, OutputAlgo::Alg2, 2, 0xde9d4411u},
+    {"1f1b-vocab", 4, 8, OutputAlgo::Alg2, 3, 0x10dafa46u},
+    {"1f1b-vocab", 4, 8, OutputAlgo::Alg2, 4, 0x9bc157f7u},
+    {"naive", 4, 8, OutputAlgo::Alg2, -1, 0x76cd62f4u},
+    {"zb-vocab", 4, 8, OutputAlgo::Alg2, 0, 0xddc266bau},
+    {"zb-vocab", 4, 8, OutputAlgo::Alg2, 1, 0xb2194525u},
+    {"zb-vocab", 4, 8, OutputAlgo::Alg2, 2, 0x6fe9deb9u},
+    {"gpipe-vocab", 4, 8, OutputAlgo::Alg2, -1, 0x8bb2a525u},
+    {"1f1b-vocab", 8, 8, OutputAlgo::Alg1, -1, 0x28eb395cu},
+    {"1f1b-vocab", 8, 8, OutputAlgo::Alg1, 0, 0xd8f38130u},
+    {"1f1b-vocab", 8, 8, OutputAlgo::Alg1, 1, 0xd8f38130u},
+    {"1f1b-vocab", 8, 8, OutputAlgo::Alg1, 3, 0xab3909b4u},
+    {"1f1b-vocab", 8, 8, OutputAlgo::Alg1, 4, 0x6659cfa2u},
+    {"naive", 8, 8, OutputAlgo::Alg1, -1, 0x043ada1bu},
+    {"zb-vocab", 8, 8, OutputAlgo::Alg1, 0, 0x81a316b3u},
+    {"zb-vocab", 8, 8, OutputAlgo::Alg1, 1, 0x2ff04324u},
+    {"zb-vocab", 8, 8, OutputAlgo::Alg1, 2, 0xff4a27a5u},
+    {"gpipe-vocab", 8, 8, OutputAlgo::Alg1, -1, 0xca9e50a1u},
+    {"vhalf-vocab", 8, 8, OutputAlgo::Alg1, -1, 0x351ff8cfu},
+    {"1f1b-vocab", 8, 8, OutputAlgo::Alg2, -1, 0xe2ace248u},
+    {"1f1b-vocab", 8, 8, OutputAlgo::Alg2, 2, 0xa53d0f4fu},
+    {"1f1b-vocab", 8, 8, OutputAlgo::Alg2, 3, 0xee16e6dau},
+    {"1f1b-vocab", 8, 8, OutputAlgo::Alg2, 4, 0x4d5feb5au},
+    {"naive", 8, 8, OutputAlgo::Alg2, -1, 0x7043de36u},
+    {"zb-vocab", 8, 8, OutputAlgo::Alg2, 0, 0x66b8e997u},
+    {"zb-vocab", 8, 8, OutputAlgo::Alg2, 1, 0x194684dfu},
+    {"zb-vocab", 8, 8, OutputAlgo::Alg2, 2, 0x739d731du},
+    {"gpipe-vocab", 8, 8, OutputAlgo::Alg2, -1, 0xbef4e05du},
+    {"1f1b-vocab", 8, 16, OutputAlgo::Alg1, -1, 0xa33d8bf6u},
+    {"1f1b-vocab", 8, 16, OutputAlgo::Alg1, 0, 0x697a8fa6u},
+    {"1f1b-vocab", 8, 16, OutputAlgo::Alg1, 1, 0x697a8fa6u},
+    {"1f1b-vocab", 8, 16, OutputAlgo::Alg1, 3, 0xec973664u},
+    {"1f1b-vocab", 8, 16, OutputAlgo::Alg1, 4, 0x5c385ae3u},
+    {"naive", 8, 16, OutputAlgo::Alg1, -1, 0x89f89aebu},
+    {"zb-vocab", 8, 16, OutputAlgo::Alg1, 0, 0xdddd64afu},
+    {"zb-vocab", 8, 16, OutputAlgo::Alg1, 1, 0xcf19f9a3u},
+    {"zb-vocab", 8, 16, OutputAlgo::Alg1, 2, 0x5c3ddf06u},
+    {"gpipe-vocab", 8, 16, OutputAlgo::Alg1, -1, 0x9a678b02u},
+    {"vhalf-vocab", 8, 16, OutputAlgo::Alg1, -1, 0x875e27e8u},
+    {"1f1b-vocab", 8, 16, OutputAlgo::Alg2, -1, 0x6b99e421u},
+    {"1f1b-vocab", 8, 16, OutputAlgo::Alg2, 2, 0x5fde80fbu},
+    {"1f1b-vocab", 8, 16, OutputAlgo::Alg2, 3, 0x246b922fu},
+    {"1f1b-vocab", 8, 16, OutputAlgo::Alg2, 4, 0xf6578267u},
+    {"naive", 8, 16, OutputAlgo::Alg2, -1, 0xa16e4d6du},
+    {"zb-vocab", 8, 16, OutputAlgo::Alg2, 0, 0xc7568194u},
+    {"zb-vocab", 8, 16, OutputAlgo::Alg2, 1, 0x5791da65u},
+    {"zb-vocab", 8, 16, OutputAlgo::Alg2, 2, 0xf95fb2a3u},
+    {"gpipe-vocab", 8, 16, OutputAlgo::Alg2, -1, 0xe095998bu},
+};
+
+TEST(ScheduleIdentity, VocabGeneratorsMatchPinnedStructure) {
+  for (const IdentityCase& c : kIdentityPins) {
+    char name[96];
+    std::snprintf(name, sizeof(name), "%s p=%d m=%d %s variant=%d", c.family, c.p, c.m,
+                  to_string(c.algo), c.variant);
+    char actual[16];
+    const std::uint32_t crc = structure_crc(build_identity_case(c));
+    std::snprintf(actual, sizeof(actual), "0x%08xu", crc);
+    EXPECT_EQ(crc, c.crc) << name << ": structure CRC is now " << actual;
   }
 }
 

@@ -1,4 +1,4 @@
-// Tests for the zero-bubble schedule family (src/schedule/schedule_zb) and
+// Tests for the zero-bubble schedule family (schedule/schedule_zb.h) and
 // the cost-model-driven schedule search (src/search), plus the kernel-bench
 // calibration the search's cost model can be refit from (src/cost).
 //
@@ -81,7 +81,6 @@ TEST_P(ZbCertification, VerifiesCompilesAndHoldsPeakClosedForm) {
   const program::CompiledProgram prog = program::compile_schedule(sched);
   EXPECT_GT(prog.total_instructions(), 0);
   const auto pdiags = program::verify_program(prog, &sched);
-  EXPECT_EQ(count_errors(std::vector<analysis::Diagnostic>()), 0);
   int perrors = 0;
   for (const auto& d : pdiags) {
     if (d.severity == analysis::Severity::Error) ++perrors;
