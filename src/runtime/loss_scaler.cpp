@@ -2,20 +2,9 @@
 
 #include <algorithm>
 
-#include "common/env.h"
 #include "common/error.h"
 
 namespace vocab {
-
-LossScalerConfig LossScalerConfig::from_env() {
-  LossScalerConfig cfg;
-  cfg.init_scale = static_cast<float>(positive_int_from_env(
-      "VOCAB_LOSS_SCALE_INIT", static_cast<std::int64_t>(cfg.init_scale),
-      /*max_value=*/std::int64_t{1} << 40));
-  cfg.growth_interval = static_cast<int>(
-      positive_int_from_env("VOCAB_LOSS_SCALE_GROWTH_INTERVAL", cfg.growth_interval));
-  return cfg;
-}
 
 LossScaler::LossScaler(LossScalerConfig cfg) : cfg_(cfg), scale_(cfg.init_scale) {
   VOCAB_CHECK(cfg_.init_scale >= cfg_.min_scale && cfg_.min_scale > 0.0f,

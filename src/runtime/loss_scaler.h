@@ -23,10 +23,6 @@ struct LossScalerConfig {
   float backoff_factor = 0.5f;
   int growth_interval = 2000;   ///< clean steps between growth attempts
   float min_scale = 1.0f;
-
-  /// init_scale / growth_interval overridden by VOCAB_LOSS_SCALE_INIT /
-  /// VOCAB_LOSS_SCALE_GROWTH_INTERVAL when those are set.
-  static LossScalerConfig from_env();
 };
 
 class LossScaler {

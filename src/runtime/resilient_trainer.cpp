@@ -41,7 +41,7 @@ int ResilientTrainer::next_smaller_width(int width, int num_layers, PipelineFlav
 ResilientTrainer::ResilientTrainer(GptWeights weights, int p, OutputAlgo algo,
                                    PipelineFlavor flavor, RecoveryPolicy policy)
     : algo_(algo),
-      flavor_(flavor),
+      flavor_(flavor_from_env(flavor)),
       policy_(std::move(policy)),
       width_(p),
       loss_detector_(policy_.anomaly.window, policy_.anomaly.min_samples,

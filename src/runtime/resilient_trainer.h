@@ -134,7 +134,7 @@ class ResilientTrainer {
   [[nodiscard]] std::string classify_anomaly(float loss, float grad_norm);
 
   OutputAlgo algo_;
-  PipelineFlavor flavor_;
+  PipelineFlavor flavor_;  ///< after VOCAB_SCHEDULE: the flavor that runs
   RecoveryPolicy policy_;
   int width_;
   std::uint64_t iteration_ = 0;

@@ -203,8 +203,6 @@ const char* frame_kind_name(FrameKind kind) {
     case FrameKind::kHello: return "hello";
     case FrameKind::kHeartbeat: return "heartbeat";
     case FrameKind::kData: return "data";
-    case FrameKind::kCollJoin: return "coll-join";
-    case FrameKind::kCollResult: return "coll-result";
   }
   return "unknown";
 }
@@ -213,7 +211,7 @@ namespace {
 
 bool valid_kind(std::uint8_t kind) {
   return kind >= static_cast<std::uint8_t>(FrameKind::kHello) &&
-         kind <= static_cast<std::uint8_t>(FrameKind::kCollResult);
+         kind <= static_cast<std::uint8_t>(FrameKind::kData);
 }
 
 void put_bytes(std::vector<std::byte>* out, const void* src, std::size_t n) {

@@ -3,7 +3,9 @@
 /// TCP wire layer for the `tcp` transport backend: socket helpers and the
 /// length-prefixed, CRC32-checked frame codec. Everything above this file
 /// (supervisor, mailboxes, collectives) speaks Frames; everything below it
-/// is POSIX sockets on loopback/LAN.
+/// is POSIX sockets on loopback/LAN. Collectives have no frame kind of
+/// their own: their joins and results are kData messages with a
+/// "coll:<index>:..." tag, addressed to each rank's collective inbox.
 ///
 /// Wire format (all integers little-endian, matching the shm arena and the
 /// checkpoint file — this code never runs cross-endian):
@@ -21,7 +23,7 @@
 ///
 /// The decoder is incremental and bounds-checked: it never reads past the
 /// supplied buffer, rejects bad magic / oversized lengths / CRC mismatches
-/// as kCorrupt (no UB under ASan/UBSan — satellite 4's fuzz target), and
+/// as kCorrupt (no UB under ASan/UBSan — the transport suite fuzzes it), and
 /// returns kNeedMore for any honest prefix of a valid frame.
 
 #include <chrono>
@@ -94,9 +96,8 @@ constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 enum class FrameKind : std::uint8_t {
   kHello = 1,      // {u32 rank, u64 last_seq_in} — (re)connect handshake
   kHeartbeat = 2,  // empty payload; seq field carries the cumulative ack
-  kData = 3,       // {u32 mailbox, u32 tag_len, tag, tensor} — P2P message
-  kCollJoin = 4,   // {u64 index, u32 op, u32 root, u32 tag_len, tag, tensor}
-  kCollResult = 5, // {u64 index, tensor}
+  kData = 3,       // {u32 mailbox, u32 tag_len, tag, tensor} — every message,
+                   // P2P and collective alike
 };
 
 const char* frame_kind_name(FrameKind kind);

@@ -12,6 +12,7 @@
 
 #include "common/env.h"
 #include "common/error.h"
+#include "transport/backend_common.h"
 
 namespace vocab::transport {
 
@@ -447,28 +448,6 @@ void TcpSupervisor::dispatch_locked(Link& link, const Frame& frame) {
       mailboxes_[mailbox].push_back(std::move(msg));
       return;
     }
-    case FrameKind::kCollJoin: {
-      if (frame.seq <= link.seq_in) return;
-      link.seq_in = frame.seq;
-      PayloadReader reader(frame.payload);
-      const std::uint64_t index = reader.u64();
-      CollJoin join;
-      join.op = reader.u32();
-      join.root = reader.u32();
-      join.tag = reader.str();
-      join.data = reader.tensor();
-      coll_joins_[index * static_cast<std::uint64_t>(world_) +
-                  static_cast<std::uint64_t>(link.peer)] = std::move(join);
-      return;
-    }
-    case FrameKind::kCollResult: {
-      if (frame.seq <= link.seq_in) return;
-      link.seq_in = frame.seq;
-      PayloadReader reader(frame.payload);
-      const std::uint64_t index = reader.u64();
-      coll_results_[index] = reader.tensor();
-      return;
-    }
   }
 }
 
@@ -654,22 +633,14 @@ void TcpSupervisor::enqueue_local(std::uint32_t mailbox, std::string tag, Tensor
   mailboxes_[mailbox].push_back(Message{std::move(tag), std::move(t)});
 }
 
-bool TcpSupervisor::try_pop(std::uint32_t mailbox, Message* out) {
-  std::lock_guard lock(mutex_);
-  if (mailbox >= mailboxes_.size() || mailboxes_[mailbox].empty()) return false;
-  *out = std::move(mailboxes_[mailbox].front());
-  mailboxes_[mailbox].pop_front();
-  return true;
-}
-
-bool TcpSupervisor::try_pop_tag(std::uint32_t mailbox, const std::string& tag, Tensor* out) {
+bool TcpSupervisor::try_pop_if(std::uint32_t mailbox,
+                               const std::function<bool(const Message&)>& match, Message* out) {
   std::lock_guard lock(mutex_);
   if (mailbox >= mailboxes_.size()) return false;
   auto& pending = mailboxes_[mailbox];
-  const auto it = std::find_if(pending.begin(), pending.end(),
-                               [&](const Message& m) { return m.tag == tag; });
+  const auto it = std::find_if(pending.begin(), pending.end(), match);
   if (it == pending.end()) return false;
-  *out = std::move(it->payload);
+  *out = std::move(*it);
   pending.erase(it);
   return true;
 }
@@ -689,63 +660,8 @@ std::size_t TcpSupervisor::clear_mailbox(std::uint32_t mailbox) {
 
 std::string TcpSupervisor::describe_mailbox(std::uint32_t mailbox, std::size_t capacity) const {
   std::lock_guard lock(mutex_);
-  std::ostringstream os;
-  const std::size_t n = mailbox < mailboxes_.size() ? mailboxes_[mailbox].size() : 0;
-  os << "occupancy " << n << "/" << capacity << ", queued tags [";
-  if (mailbox < mailboxes_.size()) {
-    const auto& pending = mailboxes_[mailbox];
-    constexpr std::size_t kMaxListed = 16;
-    for (std::size_t i = 0; i < std::min(pending.size(), kMaxListed); ++i) {
-      if (i > 0) os << ", ";
-      os << "'" << pending[i].tag << "'";
-    }
-    if (pending.size() > kMaxListed) os << ", ... +" << pending.size() - kMaxListed << " more";
-  }
-  os << "]";
-  return os.str();
-}
-
-void TcpSupervisor::send_coll_join(std::uint64_t index, std::uint32_t op, std::uint32_t root,
-                                   const std::string& tag, const Tensor& t) {
-  PayloadWriter payload;
-  payload.u64(index);
-  payload.u32(op);
-  payload.u32(root);
-  payload.str(tag);
-  payload.tensor(t);
-  std::lock_guard lock(mutex_);
-  send_reliable_locked(links_[0], FrameKind::kCollJoin, payload.take());
-}
-
-bool TcpSupervisor::try_pop_coll_join(std::uint64_t index, int peer, CollJoin* out) {
-  std::lock_guard lock(mutex_);
-  const std::uint64_t key =
-      index * static_cast<std::uint64_t>(world_) + static_cast<std::uint64_t>(peer);
-  const auto it = coll_joins_.find(key);
-  if (it == coll_joins_.end()) return false;
-  *out = std::move(it->second);
-  coll_joins_.erase(it);
-  return true;
-}
-
-void TcpSupervisor::send_coll_result(int peer, std::uint64_t index, const Tensor& t) {
-  PayloadWriter payload;
-  payload.u64(index);
-  payload.tensor(t);
-  std::lock_guard lock(mutex_);
-  VOCAB_CHECK(peer >= 0 && peer < world_ && peer != self_,
-              "tcp send_coll_result peer " << peer << " out of range");
-  send_reliable_locked(links_[static_cast<std::size_t>(peer)], FrameKind::kCollResult,
-                       payload.take());
-}
-
-bool TcpSupervisor::try_pop_coll_result(std::uint64_t index, Tensor* out) {
-  std::lock_guard lock(mutex_);
-  const auto it = coll_results_.find(index);
-  if (it == coll_results_.end()) return false;
-  *out = std::move(it->second);
-  coll_results_.erase(it);
-  return true;
+  if (mailbox >= mailboxes_.size()) return describe_queue({}, capacity);
+  return describe_queue(mailboxes_[mailbox], capacity);
 }
 
 void TcpSupervisor::pump() {
@@ -857,10 +773,6 @@ void TcpSupervisor::mark_done() {
   for (Link& link : links_) {
     if (link.peer != self_ && link.fd >= 0) flush_link_locked(link);
   }
-}
-
-TcpSupervisor::Link* TcpSupervisor::link_for(int peer) {
-  return &links_[static_cast<std::size_t>(peer)];
 }
 
 }  // namespace vocab::transport

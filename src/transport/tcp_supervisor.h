@@ -19,7 +19,7 @@
 //   connected ──peer done──> done │   heartbeat silence > timeout, or
 //   any ───────────────────> dead <── reconnect attempts > VOCAB_RETRY_MAX
 //
-// Reliability: data-bearing frames (data / coll-join / coll-result) carry a
+// Reliability: data frames (P2P and collective messages alike) carry a
 // per-link sequence number and stay in a sender-side outbox until the peer's
 // cumulative ack — piggybacked on its in-band heartbeats (and on Hello after
 // a reconnect) — covers them. On reconnect the outbox is replayed from the
@@ -43,7 +43,6 @@
 #include <atomic>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -83,23 +82,13 @@ class TcpSupervisor {
   void send_data(int peer, std::uint32_t mailbox, const std::string& tag, const Tensor& t);
   /// Local loopback delivery (owner sending to its own mailbox).
   void enqueue_local(std::uint32_t mailbox, std::string tag, Tensor t);
-  [[nodiscard]] bool try_pop(std::uint32_t mailbox, Message* out);
-  [[nodiscard]] bool try_pop_tag(std::uint32_t mailbox, const std::string& tag, Tensor* out);
+  /// Move the first message of `mailbox` that `match` accepts into *out;
+  /// false when none is queued yet. Never blocks.
+  [[nodiscard]] bool try_pop_if(std::uint32_t mailbox,
+                                const std::function<bool(const Message&)>& match, Message* out);
   [[nodiscard]] std::size_t mailbox_size(std::uint32_t mailbox) const;
   std::size_t clear_mailbox(std::uint32_t mailbox);
   [[nodiscard]] std::string describe_mailbox(std::uint32_t mailbox, std::size_t capacity) const;
-
-  struct CollJoin {
-    std::uint32_t op = 0;
-    std::uint32_t root = 0;
-    std::string tag;
-    Tensor data;
-  };
-  void send_coll_join(std::uint64_t index, std::uint32_t op, std::uint32_t root,
-                      const std::string& tag, const Tensor& t);
-  [[nodiscard]] bool try_pop_coll_join(std::uint64_t index, int peer, CollJoin* out);
-  void send_coll_result(int peer, std::uint64_t index, const Tensor& t);
-  [[nodiscard]] bool try_pop_coll_result(std::uint64_t index, Tensor* out);
 
   /// One I/O lap (accept/connect progress, reads, flushes) driven by a
   /// blocked app thread, so message latency is not bounded by the supervisor
@@ -178,7 +167,6 @@ class TcpSupervisor {
   void death_checks_locked(std::chrono::steady_clock::time_point now);
   void apply_chaos_locked();
   void declare_dead_locked(Link& link, const std::string& why);
-  [[nodiscard]] Link* link_for(int peer);
   [[nodiscard]] std::string diag_suffix_locked() const;
 
   ShmArena& arena_;
@@ -198,8 +186,6 @@ class TcpSupervisor {
   };
   std::vector<PendingAccept> pending_accepts_;  ///< accepted, Hello not yet seen
   std::vector<std::deque<Message>> mailboxes_;
-  std::map<std::uint64_t, CollJoin> coll_joins_;    ///< key: index * world + peer
-  std::map<std::uint64_t, Tensor> coll_results_;    ///< key: index
   std::shared_ptr<AbortToken> token_;
   std::function<bool()> suppressed_;
   std::chrono::steady_clock::time_point last_beat_{};

@@ -16,17 +16,16 @@ namespace vocab::transport {
 
 namespace {
 
-// Collective op codes on the wire (CollJoin.op).
+// Collective op codes, carried in a join's tag.
 constexpr std::uint32_t kOpBarrier = 0;
 constexpr std::uint32_t kOpAllReduceSum = 1;
 constexpr std::uint32_t kOpAllReduceMax = 2;
 constexpr std::uint32_t kOpBroadcast = 5;
 
-/// Leader-side collective body, shared by the loopback hub and the mesh
-/// leader. `contrib(r)` is rank r's input tensor. The reduce order — rank 0's
-/// tensor is the accumulator, ranks 1..n-1 folded in ascending order — is the
-/// exact order the threads and shm backends use, which is what makes losses
-/// and weights bit-identical across all three.
+/// Leader-side collective body. `contrib(r)` is rank r's input tensor. The
+/// reduce order — rank 0's tensor is the accumulator, ranks 1..n-1 folded in
+/// ascending order — is the exact order the threads and shm backends use,
+/// which is what makes losses and weights bit-identical across all three.
 Tensor leader_compute(std::uint32_t op, std::uint32_t root, int world,
                       const std::function<const Tensor&(int)>& contrib) {
   switch (op) {
@@ -64,7 +63,8 @@ const char* op_kind_name(std::uint32_t op) {
 // ---------------------------------------------------------------------------
 // In-process loopback mailbox
 // ---------------------------------------------------------------------------
-// One real connected loopback socket pair per Channel. The sender encodes
+// One real connected loopback socket pair per Channel (and per rank of an
+// in-process collective, as that rank's collective inbox). The sender encodes
 // kData frames into a write buffer and both sides pump (flush + drain) under
 // the shared mutex, so a blocked reader keeps the sender's bytes moving. The
 // channel capacity bound lives in a local occupancy counter, exactly like the
@@ -117,32 +117,29 @@ class TcpLoopbackMailbox final : public Mailbox {
 
   Message recv() override {
     Message msg;
-    wait("recv (empty)", "<front>", [&] {
-      std::lock_guard lock(mutex_);
-      pump_locked();
-      if (pending_.empty()) return false;
-      msg = std::move(pending_.front());
-      pending_.pop_front();
-      --occupancy_;
-      return true;
-    });
+    wait("recv (empty)", "<front>",
+         [&] { return take_if([](const Message&) { return true; }, &msg); });
     return msg;
   }
 
   Tensor recv_tag(const std::string& tag) override {
-    Tensor payload;
-    wait("recv", tag, [&] {
-      std::lock_guard lock(mutex_);
-      pump_locked();
-      const auto it = std::find_if(pending_.begin(), pending_.end(),
-                                   [&](const Message& m) { return m.tag == tag; });
-      if (it == pending_.end()) return false;
-      payload = std::move(it->payload);
-      pending_.erase(it);
-      --occupancy_;
-      return true;
-    });
-    return payload;
+    Message msg;
+    wait("recv", tag,
+         [&] { return take_if([&](const Message& m) { return m.tag == tag; }, &msg); });
+    return std::move(msg.payload);
+  }
+
+  /// Move the first queued message `match` accepts into *out; false when
+  /// none is queued yet. Never blocks.
+  bool take_if(const std::function<bool(const Message&)>& match, Message* out) {
+    std::lock_guard lock(mutex_);
+    pump_locked();
+    const auto it = std::find_if(pending_.begin(), pending_.end(), match);
+    if (it == pending_.end()) return false;
+    *out = std::move(*it);
+    pending_.erase(it);
+    --occupancy_;
+    return true;
   }
 
   void clear() override {
@@ -233,307 +230,6 @@ class TcpLoopbackMailbox final : public Mailbox {
 };
 
 // ---------------------------------------------------------------------------
-// In-process loopback collective
-// ---------------------------------------------------------------------------
-// A star of loopback socket pairs with rank 0 as the hub: rank r >= 1 writes
-// a CollJoin frame on its spoke and blocks for the CollResult; rank 0 pulls
-// one join per spoke (they arrive in collective order — a rank cannot start
-// collective i+1 before finishing i), validates the tags, computes via
-// leader_compute, and fans the result out. Failure poisoning mirrors the
-// threads backend: first failure wins, every later entry throws
-// "communicator poisoned", concurrent waiters throw "collective aborted".
-
-class TcpLoopbackCollective final : public Collective {
- public:
-  TcpLoopbackCollective(int world_size, std::chrono::milliseconds timeout,
-                        TransportConfig config)
-      : world_(world_size),
-        timeout_(timeout == kCommTimeoutFromEnv ? default_comm_timeout() : timeout),
-        config_(config),
-        calls_(static_cast<std::size_t>(world_size), 0),
-        waiting_(static_cast<std::size_t>(world_size), 0),
-        tags_(static_cast<std::size_t>(world_size)),
-        ports_(static_cast<std::size_t>(world_size)) {
-    VOCAB_CHECK(world_size >= 1, "world_size must be >= 1, got " << world_size);
-    for (int r = 1; r < world_; ++r) {
-      int fds[2] = {-1, -1};
-      VOCAB_CHECK(tcp_loopback_pair(fds),
-                  "tcp transport unavailable: loopback sockets failed on this platform");
-      ports_[static_cast<std::size_t>(r)].app_fd = fds[0];
-      ports_[static_cast<std::size_t>(r)].hub_fd = fds[1];
-    }
-  }
-
-  ~TcpLoopbackCollective() override {
-    for (Port& port : ports_) {
-      close_fd(&port.app_fd);
-      close_fd(&port.hub_fd);
-    }
-  }
-
-  [[nodiscard]] int world_size() const override { return world_; }
-
-  void set_abort_token(std::shared_ptr<AbortToken> token) override {
-    std::lock_guard lock(state_mutex_);
-    abort_ = std::move(token);
-  }
-
-  void barrier(int rank, const std::string& tag) override {
-    (void)execute(rank, kOpBarrier, 0, tag, Tensor{});
-  }
-
-  void all_reduce(int rank, Tensor& data, ReduceOp op, const std::string& tag) override {
-    data = execute(rank, op == ReduceOp::Sum ? kOpAllReduceSum : kOpAllReduceMax, 0, tag, data);
-  }
-
-  void broadcast(int rank, int root, Tensor& data, const std::string& tag) override {
-    check_rank(root);
-    data = execute(rank, kOpBroadcast, static_cast<std::uint32_t>(root), tag, data);
-  }
-
-  [[nodiscard]] std::uint64_t completed_collectives() const override {
-    return completed_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] std::vector<int> waiting_ranks() const override {
-    std::lock_guard lock(state_mutex_);
-    std::vector<int> out;
-    for (int r = 0; r < world_; ++r) {
-      if (waiting_[static_cast<std::size_t>(r)] != 0) out.push_back(r);
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::string describe() const override {
-    std::lock_guard lock(state_mutex_);
-    std::ostringstream os;
-    os << "completed " << completed_.load(std::memory_order_acquire) << ", waiters [";
-    bool first = true;
-    for (int r = 0; r < world_; ++r) {
-      if (waiting_[static_cast<std::size_t>(r)] == 0) continue;
-      if (!first) os << ", ";
-      first = false;
-      os << "r" << r << ":'" << tags_[static_cast<std::size_t>(r)] << "'";
-    }
-    os << "]";
-    if (!failure_.empty()) os << ", failure: " << failure_;
-    os << ", transport 'tcp' (loopback)";
-    return os.str();
-  }
-
- private:
-  struct Port {
-    int app_fd = -1;                ///< rank r's end (only rank r's thread)
-    int hub_fd = -1;                ///< rank 0's end (only rank 0's thread)
-    std::vector<std::byte> app_in;  ///< inbound bytes on the app side
-    std::vector<std::byte> hub_in;  ///< inbound bytes on the hub side
-    std::uint64_t app_seq = 0;
-    std::uint64_t hub_seq = 0;
-  };
-
-  void check_rank(int rank) const {
-    VOCAB_CHECK(rank >= 0 && rank < world_,
-                "rank " << rank << " out of range [0, " << world_ << ")");
-  }
-
-  /// Write all of `bytes` to `fd`, waiting while the socket buffer is full.
-  static void blocking_write(int fd, const std::vector<std::byte>& bytes, PollWait& wait) {
-    std::size_t offset = 0;
-    wait.until([&] {
-      while (offset < bytes.size()) {
-        const ssize_t n =
-            ::send(fd, bytes.data() + offset, bytes.size() - offset, MSG_NOSIGNAL);
-        if (n > 0) {
-          offset += static_cast<std::size_t>(n);
-          continue;
-        }
-        if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-          VOCAB_FAIL("tcp loopback collective write failed: " << std::strerror(errno));
-        }
-        return false;
-      }
-      return true;
-    });
-  }
-
-  /// Pop the next complete frame from `fd` into *out; false when none yet.
-  bool try_read_frame(int fd, std::vector<std::byte>* inbuf, Frame* out) {
-    VOCAB_CHECK(tcp_read_available(fd, inbuf),
-                "tcp loopback collective socket closed unexpectedly");
-    std::size_t consumed = 0;
-    std::string error;
-    const DecodeStatus status =
-        decode_frame(inbuf->data(), inbuf->size(), out, &consumed, &error);
-    if (status == DecodeStatus::kNeedMore) return false;
-    VOCAB_CHECK(status == DecodeStatus::kFrame, "tcp loopback stream corrupt: " << error);
-    inbuf->erase(inbuf->begin(), inbuf->begin() + static_cast<std::ptrdiff_t>(consumed));
-    return true;
-  }
-
-  Tensor execute(int rank, std::uint32_t op, std::uint32_t root, const std::string& tag,
-                 const Tensor& input) {
-    check_rank(rank);
-    const char* kind = op_kind_name(op);
-    if (world_ == 1) {
-      Tensor result = leader_compute(op, root, 1, [&](int) -> const Tensor& { return input; });
-      completed_.fetch_add(1, std::memory_order_acq_rel);
-      return result;
-    }
-    std::shared_ptr<AbortToken> token;
-    {
-      std::lock_guard lock(state_mutex_);
-      if (!failure_.empty()) throw DeadlockError("communicator poisoned: " + failure_);
-      waiting_[static_cast<std::size_t>(rank)] = 1;
-      tags_[static_cast<std::size_t>(rank)] = tag;
-      token = abort_;
-    }
-    // One wait for the whole collective: every join, write and reply poll
-    // shares its deadline and backoff.
-    PollWait wait(
-        timeout_, std::move(token),
-        {.precheck =
-             [&] {
-               std::string failure;
-               {
-                 std::lock_guard lock(state_mutex_);
-                 failure = failure_;
-               }
-               if (!failure.empty()) throw DeadlockError("collective aborted: " + failure);
-             },
-         .on_abort =
-             [&] {
-               std::lock_guard lock(state_mutex_);
-               if (failure_.empty()) failure_ = collective_aborted(kind, tag);
-             },
-         .interrupted = [&] { return collective_interrupted(kind, tag, rank); },
-         .expired =
-             [&](long long elapsed_ms) {
-               std::string text = collective_timed_out(rank, kind, tag, elapsed_ms, timeout_) +
-                                  "; transport 'tcp' loopback)";
-               {
-                 std::lock_guard lock(state_mutex_);
-                 if (failure_.empty()) failure_ = text;
-               }
-               return DeadlockError(text);
-             },
-         .park = backoff_park(config_, rank_seed(rank))});
-    Tensor result;
-    try {
-      result = rank == 0 ? run_leader(op, root, tag, input, kind, wait)
-                         : run_follower(rank, op, root, tag, input, wait);
-    } catch (...) {
-      std::lock_guard lock(state_mutex_);
-      waiting_[static_cast<std::size_t>(rank)] = 0;
-      throw;
-    }
-    {
-      std::lock_guard lock(state_mutex_);
-      waiting_[static_cast<std::size_t>(rank)] = 0;
-    }
-    return result;
-  }
-
-  Tensor run_leader(std::uint32_t op, std::uint32_t root, const std::string& tag,
-                    const Tensor& input, const char* kind, PollWait& wait) {
-    const std::uint64_t index = calls_[0]++;
-    std::vector<Tensor> joins(static_cast<std::size_t>(world_));
-    for (int r = 1; r < world_; ++r) {
-      Port& port = ports_[static_cast<std::size_t>(r)];
-      Frame frame;
-      wait.until([&] { return try_read_frame(port.hub_fd, &port.hub_in, &frame); });
-      VOCAB_CHECK(frame.kind == FrameKind::kCollJoin,
-                  "tcp loopback hub expected coll-join, got " << frame_kind_name(frame.kind));
-      PayloadReader reader(frame.payload);
-      const std::uint64_t got_index = reader.u64();
-      const std::uint32_t got_op = reader.u32();
-      const std::uint32_t got_root = reader.u32();
-      const std::string got_tag = reader.str();
-      VOCAB_CHECK(got_index == index, "tcp loopback collective order broke: rank "
-                                          << r << " joined index " << got_index
-                                          << " while the hub is at " << index);
-      if (got_tag != tag || got_op != op || got_root != root) {
-        std::string text = std::string("collective mismatch in ") + kind + ": rank 0 tag '" +
-                           tag + "' vs rank " + std::to_string(r) + " tag '" + got_tag + "'";
-        {
-          std::lock_guard lock(state_mutex_);
-          if (failure_.empty()) failure_ = text;
-        }
-        throw CheckError(text);
-      }
-      joins[static_cast<std::size_t>(r)] = reader.tensor();
-    }
-
-    Tensor result;
-    try {
-      result = leader_compute(op, root, world_, [&](int r) -> const Tensor& {
-        return r == 0 ? input : joins[static_cast<std::size_t>(r)];
-      });
-    } catch (const std::exception& e) {
-      std::lock_guard lock(state_mutex_);
-      if (failure_.empty()) {
-        failure_ = std::string(kind) + " '" + tag + "' failed: " + e.what();
-      }
-      throw;
-    }
-
-    PayloadWriter writer;
-    writer.u64(index);
-    writer.tensor(result);
-    Frame frame;
-    frame.kind = FrameKind::kCollResult;
-    frame.payload = writer.take();
-    std::vector<std::byte> bytes;
-    encode_frame(frame, &bytes);
-    for (int r = 1; r < world_; ++r) {
-      blocking_write(ports_[static_cast<std::size_t>(r)].hub_fd, bytes, wait);
-    }
-    completed_.fetch_add(1, std::memory_order_acq_rel);
-    return result;
-  }
-
-  Tensor run_follower(int rank, std::uint32_t op, std::uint32_t root, const std::string& tag,
-                      const Tensor& input, PollWait& wait) {
-    Port& port = ports_[static_cast<std::size_t>(rank)];
-    const std::uint64_t index = calls_[static_cast<std::size_t>(rank)]++;
-    PayloadWriter writer;
-    writer.u64(index);
-    writer.u32(op);
-    writer.u32(root);
-    writer.str(tag);
-    writer.tensor(input);
-    Frame frame;
-    frame.kind = FrameKind::kCollJoin;
-    frame.payload = writer.take();
-    std::vector<std::byte> bytes;
-    encode_frame(frame, &bytes);
-    blocking_write(port.app_fd, bytes, wait);
-
-    Frame reply;
-    wait.until([&] { return try_read_frame(port.app_fd, &port.app_in, &reply); });
-    VOCAB_CHECK(reply.kind == FrameKind::kCollResult,
-                "tcp loopback spoke expected coll-result, got " << frame_kind_name(reply.kind));
-    PayloadReader reader(reply.payload);
-    const std::uint64_t got_index = reader.u64();
-    VOCAB_CHECK(got_index == index, "tcp loopback collective order broke: got result "
-                                        << got_index << " while waiting for " << index);
-    return reader.tensor();
-  }
-
-  const int world_;
-  const std::chrono::milliseconds timeout_;
-  const TransportConfig config_;
-  std::atomic<std::uint64_t> completed_{0};
-
-  mutable std::mutex state_mutex_;  ///< guards abort_, failure_, waiting_, tags_
-  std::shared_ptr<AbortToken> abort_;
-  std::string failure_;
-  std::vector<std::uint64_t> calls_;  ///< per-rank collective index; rank r's thread only
-  std::vector<char> waiting_;
-  std::vector<std::string> tags_;
-  std::vector<Port> ports_;  ///< [0] unused
-};
-
-// ---------------------------------------------------------------------------
 // Attached (mesh) mailbox
 // ---------------------------------------------------------------------------
 // Mailbox i is rank i's inbox: the trainer creates one Channel per device in
@@ -575,19 +271,19 @@ class TcpMeshMailbox final : public Mailbox {
     Message msg;
     wait("recv (empty)", "<front>", [&] {
       supervisor_->pump();
-      return supervisor_->try_pop(id_, &msg);
+      return supervisor_->try_pop_if(id_, [](const Message&) { return true; }, &msg);
     });
     return msg;
   }
 
   Tensor recv_tag(const std::string& tag) override {
     check_owner("recv_tag");
-    Tensor payload;
+    Message msg;
     wait("recv", tag, [&] {
       supervisor_->pump();
-      return supervisor_->try_pop_tag(id_, tag, &payload);
+      return supervisor_->try_pop_if(id_, [&](const Message& m) { return m.tag == tag; }, &msg);
     });
-    return payload;
+    return std::move(msg.payload);
   }
 
   void clear() override {
@@ -641,28 +337,45 @@ class TcpMeshMailbox final : public Mailbox {
 };
 
 // ---------------------------------------------------------------------------
-// Attached (mesh) collective
+// Collective (both modes)
 // ---------------------------------------------------------------------------
-// Leader-driven: rank 0 pulls one CollJoin per peer per collective (indexed
-// by a per-rank call counter — every rank issues collectives in the same
-// program order), computes with the shared leader body, and fans a
-// CollResult out to every peer. Each rank's process calls only with its own
-// rank, so there is no in-process rendezvous state — failure propagation
-// rides the supervisor (dead peers, arena abort, local token).
+// Leader-driven over ordinary data messages. Rank r >= 1 posts a join tagged
+// "coll:<index>:<r>:<op>:<root>:<tag>" to rank 0's collective inbox and waits
+// in its own inbox for "coll:<index>:result". Rank 0 takes one join per peer
+// by its "coll:<index>:<r>:" prefix, checks that op, root and tag agree,
+// computes via leader_compute and posts every peer the result. The index in
+// the tag keeps a late join from being taken as the next collective's join.
+// In-process, the collective owns one loopback mailbox per rank; attached,
+// each rank's collective inbox is supervisor mailbox `world`, one past the
+// trainer's per-device inboxes. Failure poisoning mirrors the threads
+// backend: first failure wins, every later entry throws "communicator
+// poisoned", concurrent waiters throw "collective aborted".
 
-class TcpMeshCollective final : public Collective {
+class TcpCollective final : public Collective {
  public:
-  TcpMeshCollective(int world_size, std::chrono::milliseconds timeout, TransportConfig config,
-                    TcpSupervisor* supervisor)
+  /// `supervisor` is null in in-process mode.
+  TcpCollective(int world_size, std::chrono::milliseconds timeout, TransportConfig config,
+                TcpSupervisor* supervisor)
       : world_(world_size),
         timeout_(timeout == kCommTimeoutFromEnv ? default_comm_timeout() : timeout),
         config_(config),
-        supervisor_(supervisor) {}
+        supervisor_(supervisor),
+        calls_(static_cast<std::size_t>(world_size), 0),
+        waiting_(static_cast<std::size_t>(world_size), 0),
+        tags_(static_cast<std::size_t>(world_size)) {
+    VOCAB_CHECK(world_size >= 1, "world_size must be >= 1, got " << world_size);
+    if (supervisor_ != nullptr || world_ == 1) return;
+    // An inbox holds at most world - 1 joins or one result, so posts never wait.
+    for (int r = 0; r < world_; ++r) {
+      inboxes_.push_back(std::make_unique<TcpLoopbackMailbox>(static_cast<std::size_t>(world_),
+                                                              timeout_, config_));
+    }
+  }
 
   [[nodiscard]] int world_size() const override { return world_; }
 
   void set_abort_token(std::shared_ptr<AbortToken> token) override {
-    std::lock_guard lock(mutex_);
+    std::lock_guard lock(state_mutex_);
     abort_ = std::move(token);
   }
 
@@ -675,86 +388,203 @@ class TcpMeshCollective final : public Collective {
   }
 
   void broadcast(int rank, int root, Tensor& data, const std::string& tag) override {
+    check_rank(root);
     data = execute(rank, kOpBroadcast, static_cast<std::uint32_t>(root), tag, data);
   }
 
   [[nodiscard]] std::uint64_t completed_collectives() const override {
-    return completed_.load(std::memory_order_acquire);
+    std::lock_guard lock(state_mutex_);
+    return completed_;
   }
 
-  [[nodiscard]] std::vector<int> waiting_ranks() const override { return {}; }
+  [[nodiscard]] std::vector<int> waiting_ranks() const override {
+    std::lock_guard lock(state_mutex_);
+    std::vector<int> out;
+    for (int r = 0; r < world_; ++r) {
+      if (waiting_[static_cast<std::size_t>(r)] != 0) out.push_back(r);
+    }
+    return out;
+  }
 
   [[nodiscard]] std::string describe() const override {
-    return "tcp mesh collective rank " + std::to_string(supervisor_->self()) + ", completed " +
-           std::to_string(completed_.load(std::memory_order_acquire)) +
-           supervisor_->diag_suffix();
+    std::lock_guard lock(state_mutex_);
+    std::ostringstream os;
+    os << "completed " << completed_ << ", waiters [";
+    bool first = true;
+    for (int r = 0; r < world_; ++r) {
+      if (waiting_[static_cast<std::size_t>(r)] == 0) continue;
+      if (!first) os << ", ";
+      first = false;
+      os << "r" << r << ":'" << tags_[static_cast<std::size_t>(r)] << "'";
+    }
+    os << "]";
+    if (!failure_.empty()) os << ", failure: " << failure_;
+    return os.str() + suffix();
   }
 
  private:
+  void check_rank(int rank) const {
+    VOCAB_CHECK(rank >= 0 && rank < world_,
+                "rank " << rank << " out of range [0, " << world_ << ")");
+  }
+
+  /// Diagnostics tail: the supervisor's link view, or the loopback marker.
+  [[nodiscard]] std::string suffix() const {
+    return supervisor_ != nullptr ? supervisor_->diag_suffix() : ", transport 'tcp' (loopback)";
+  }
+
+  void record_failure(const std::string& text) {
+    std::lock_guard lock(state_mutex_);
+    if (failure_.empty()) failure_ = text;
+  }
+
+  /// Deliver a tagged tensor to rank `to`'s collective inbox.
+  void post(int to, const std::string& tag, const Tensor& t) {
+    if (supervisor_ == nullptr) {
+      inboxes_[static_cast<std::size_t>(to)]->send(tag, t);
+    } else {
+      supervisor_->send_data(to, static_cast<std::uint32_t>(world_), tag, t);
+    }
+  }
+
+  /// Take the first message in rank `rank`'s collective inbox that `match`
+  /// accepts; false when there is none yet.
+  bool take(int rank, const std::function<bool(const Message&)>& match, Message* out) {
+    if (supervisor_ == nullptr) {
+      return inboxes_[static_cast<std::size_t>(rank)]->take_if(match, out);
+    }
+    supervisor_->pump();
+    return supervisor_->try_pop_if(static_cast<std::uint32_t>(world_), match, out);
+  }
+
   Tensor execute(int rank, std::uint32_t op, std::uint32_t root, const std::string& tag,
                  const Tensor& input) {
-    VOCAB_CHECK(rank == supervisor_->self(),
-                "tcp mesh collective called with rank " << rank << " on rank "
-                                                        << supervisor_->self());
+    check_rank(rank);
+    VOCAB_CHECK(supervisor_ == nullptr || rank == supervisor_->self(),
+                "tcp collective called with rank " << rank << " on rank " << supervisor_->self());
     const char* kind = op_kind_name(op);
-    const std::uint64_t index = index_++;
     if (world_ == 1) {
       Tensor result = leader_compute(op, root, 1, [&](int) -> const Tensor& { return input; });
-      completed_.fetch_add(1, std::memory_order_acq_rel);
+      std::lock_guard lock(state_mutex_);
+      completed_ = ++calls_[0];
       return result;
     }
+    std::shared_ptr<AbortToken> token;
+    {
+      std::lock_guard lock(state_mutex_);
+      if (!failure_.empty()) throw DeadlockError("communicator poisoned: " + failure_);
+      waiting_[static_cast<std::size_t>(rank)] = 1;
+      tags_[static_cast<std::size_t>(rank)] = tag;
+      token = abort_;
+    }
+    // One wait for the whole collective: the post, every join and the reply
+    // share its deadline and backoff.
     PollWait wait(
-        timeout_, locked_copy(mutex_, abort_),
-        {.precheck = [&] { supervisor_->throw_if_failed(kind, tag); },
+        timeout_, std::move(token),
+        {.precheck =
+             [&] {
+               if (supervisor_ != nullptr) supervisor_->throw_if_failed(kind, tag);
+               std::string failure;
+               {
+                 std::lock_guard lock(state_mutex_);
+                 failure = failure_;
+               }
+               if (!failure.empty()) throw DeadlockError("collective aborted: " + failure);
+             },
+         .on_abort = [&] { record_failure(collective_aborted(kind, tag)); },
          .interrupted = [&] { return collective_interrupted(kind, tag, rank); },
          .expired =
              [&](long long elapsed_ms) {
-               return DeadlockError(collective_timed_out(rank, kind, tag, elapsed_ms, timeout_) +
-                                    ")" + supervisor_->diag_suffix());
+               std::string text =
+                   collective_timed_out(rank, kind, tag, elapsed_ms, timeout_) + ")" + suffix();
+               record_failure(text);
+               return DeadlockError(text);
              },
          .park = backoff_park(config_, rank_seed(rank))});
-
-    if (rank != 0) {
-      supervisor_->throw_if_failed(kind, tag);
-      supervisor_->send_coll_join(index, op, root, tag, input);
-      Tensor result;
-      wait.until([&] {
-        supervisor_->pump();
-        return supervisor_->try_pop_coll_result(index, &result);
-      });
-      completed_.fetch_add(1, std::memory_order_acq_rel);
-      return result;
+    const std::uint64_t index = calls_[static_cast<std::size_t>(rank)]++;
+    const std::string head = "coll:" + std::to_string(index) + ":";
+    const std::string body = std::to_string(op) + ":" + std::to_string(root) + ":" + tag;
+    Tensor result;
+    try {
+      if (supervisor_ != nullptr) supervisor_->throw_if_failed(kind, tag);
+      if (rank == 0) {
+        result = lead(head, body, op, root, tag, kind, input, wait);
+      } else {
+        post(0, head + std::to_string(rank) + ":" + body, input);
+        Message reply;
+        const std::string result_tag = head + "result";
+        wait.until([&] {
+          return take(rank, [&](const Message& m) { return m.tag == result_tag; }, &reply);
+        });
+        result = std::move(reply.payload);
+      }
+    } catch (...) {
+      std::lock_guard lock(state_mutex_);
+      waiting_[static_cast<std::size_t>(rank)] = 0;
+      throw;
     }
+    std::lock_guard lock(state_mutex_);
+    waiting_[static_cast<std::size_t>(rank)] = 0;
+    completed_ = std::max(completed_, index + 1);
+    return result;
+  }
 
+  /// Rank 0's side: one join per peer, the shared leader body, the fan-out.
+  /// `body` is "<op>:<root>:<tag>", the part every join must agree on.
+  Tensor lead(const std::string& head, const std::string& body, std::uint32_t op,
+              std::uint32_t root, const std::string& tag, const char* kind, const Tensor& input,
+              PollWait& wait) {
     std::vector<Tensor> joins(static_cast<std::size_t>(world_));
     for (int r = 1; r < world_; ++r) {
-      TcpSupervisor::CollJoin join;
-      wait.until([&] {
-        supervisor_->pump();
-        return supervisor_->try_pop_coll_join(index, r, &join);
-      });
-      VOCAB_CHECK(join.tag == tag && join.op == op && join.root == root,
-                  "collective mismatch in " << kind << ": rank 0 tag '" << tag << "' vs rank "
-                                            << r << " tag '" << join.tag << "'");
-      joins[static_cast<std::size_t>(r)] = std::move(join.data);
+      const std::string prefix = head + std::to_string(r) + ":";
+      const auto has_prefix = [&](const Message& m) {
+        return m.tag.compare(0, prefix.size(), prefix) == 0;
+      };
+      Message join;
+      wait.until([&] { return take(0, has_prefix, &join); });
+      const std::string got = join.tag.substr(prefix.size());
+      if (got != body) {
+        // got is "<op>:<root>:<tag>"; op and root are digits.
+        const std::size_t op_end = got.find(':');
+        const std::size_t root_end =
+            op_end == std::string::npos ? op_end : got.find(':', op_end + 1);
+        const std::string got_tag =
+            root_end == std::string::npos ? got : got.substr(root_end + 1);
+        const std::string text = std::string("collective mismatch in ") + kind + ": rank 0 tag '" +
+                                 tag + "' vs rank " + std::to_string(r) + " tag '" + got_tag + "'";
+        record_failure(text);
+        throw CheckError(text);
+      }
+      joins[static_cast<std::size_t>(r)] = std::move(join.payload);
     }
-    Tensor result = leader_compute(op, root, world_, [&](int r) -> const Tensor& {
-      return r == 0 ? input : joins[static_cast<std::size_t>(r)];
-    });
-    for (int r = 1; r < world_; ++r) supervisor_->send_coll_result(r, index, result);
-    completed_.fetch_add(1, std::memory_order_acq_rel);
+
+    Tensor result;
+    try {
+      result = leader_compute(op, root, world_, [&](int r) -> const Tensor& {
+        return r == 0 ? input : joins[static_cast<std::size_t>(r)];
+      });
+    } catch (const std::exception& e) {
+      record_failure(std::string(kind) + " '" + tag + "' failed: " + e.what());
+      throw;
+    }
+    const std::string result_tag = head + "result";
+    for (int r = 1; r < world_; ++r) post(r, result_tag, result);
     return result;
   }
 
   const int world_;
   const std::chrono::milliseconds timeout_;
   const TransportConfig config_;
-  TcpSupervisor* supervisor_;
-  std::uint64_t index_ = 0;  ///< this rank's collective call counter
-  std::atomic<std::uint64_t> completed_{0};
+  TcpSupervisor* const supervisor_;
+  std::vector<std::unique_ptr<TcpLoopbackMailbox>> inboxes_;  ///< in-process mode only
+  std::vector<std::uint64_t> calls_;  ///< per-rank collective index; rank r's thread only
 
-  mutable std::mutex mutex_;
+  mutable std::mutex state_mutex_;  ///< guards the members below
   std::shared_ptr<AbortToken> abort_;
+  std::string failure_;
+  std::uint64_t completed_ = 0;  ///< collective indices completed, each counted once
+  std::vector<char> waiting_;
+  std::vector<std::string> tags_;
 };
 
 }  // namespace
@@ -796,15 +626,15 @@ std::unique_ptr<Mailbox> TcpTransport::make_mailbox(std::size_t capacity,
 std::unique_ptr<Collective> TcpTransport::make_collective(int world_size,
                                                           std::chrono::milliseconds timeout) {
   if (supervisor_ == nullptr) {
-    return std::make_unique<TcpLoopbackCollective>(world_size, timeout,
-                                                   TransportConfig::from_env());
+    return std::make_unique<TcpCollective>(world_size, timeout, TransportConfig::from_env(),
+                                           nullptr);
   }
   VOCAB_CHECK(!collective_taken_, "tcp mesh holds one collective group and it is already taken");
   VOCAB_CHECK(world_size == supervisor_->world(), "tcp collective world "
                                                       << world_size << " vs mesh world "
                                                       << supervisor_->world());
   collective_taken_ = true;
-  return std::make_unique<TcpMeshCollective>(world_size, timeout, config_, supervisor_.get());
+  return std::make_unique<TcpCollective>(world_size, timeout, config_, supervisor_.get());
 }
 
 long long TcpTransport::heartbeat_age_ms(int rank) const {

@@ -4,8 +4,8 @@
 // over loopback/LAN sockets. Two modes of the same wire format:
 //
 //   in-process  (TcpTransport::in_process) — every make_mailbox owns a real
-//     connected loopback socket pair and every make_collective a per-rank
-//     star of socket pairs with rank 0 as the hub. No supervisor, no
+//     connected loopback socket pair, and every make_collective one such
+//     mailbox per rank as that rank's collective inbox. No supervisor, no
 //     heartbeats (nothing can die); this is what VOCAB_TRANSPORT=tcp selects
 //     for an ordinary PipelineTrainer, and its collectives reduce in the
 //     exact rank order the threads backend uses, so losses and weights are
@@ -17,8 +17,12 @@
 //     outbox retransmission, chaos injection), and the pre-fork ShmArena
 //     reused only as the control plane: abort block, rank liveness flags,
 //     progress block, and tcp port advertisement. Mailbox i is owned by rank
-//     i (the trainer creates one inbox per device in rank order); collectives
-//     are leader-driven with rank 0 pulling joins and fanning results out.
+//     i (the trainer creates one inbox per device in rank order); mailbox
+//     `world` is each rank's collective inbox.
+//
+// Both modes run one leader-driven collective over ordinary data messages:
+// each rank posts a tagged join to rank 0's collective inbox, and rank 0
+// checks the joins agree, computes, and posts every peer the result.
 //
 // Failure semantics in attached mode: a peer silent past
 // VOCAB_HEARTBEAT_TIMEOUT_MS, or unreachable past the reconnect budget, is

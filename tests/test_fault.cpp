@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -716,6 +717,30 @@ TEST(FaultRecovery, LossSequenceMatchesStraightRun) {
 // onto a smaller pipeline width from the same checkpoint.
 // ---------------------------------------------------------------------------
 
+/// Sets an environment variable for the lifetime of one test and restores
+/// its previous value after (exception-safe: a failing assertion must not
+/// leak the setting into later tests).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_.has_value()) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
 TEST(ElasticRecovery, DowngradesWidthAndMatchesCleanRestart) {
   const GptConfig cfg = fault_config();
   const GptWeights init = GptWeights::init(cfg, 71);
@@ -782,6 +807,35 @@ TEST(ElasticRecovery, NextSmallerWidthHonorsFlavorConstraints) {
   EXPECT_EQ(ResilientTrainer::next_smaller_width(8, 12, PipelineFlavor::OneFOneBVocab), 4);
 }
 
+TEST(ElasticRecovery, DowngradeWidthFollowsTheFlavorThatRuns) {
+  // VOCAB_SCHEDULE=naive overrides the constructor's 1F1B-vocab, so the
+  // trainer runs naive, which admits width 1. The downgrade must ask about
+  // that flavor, not the one passed in (1F1B-vocab needs width 2).
+  ScopedEnv schedule("VOCAB_SCHEDULE", "naive");
+  const GptConfig cfg = fault_config();
+  SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 74);
+
+  RecoveryPolicy policy;
+  policy.checkpoint_path = temp_path("elastic-env-flavor.ckpt");
+  policy.allow_elastic_downgrade = true;
+  policy.retries_before_downgrade = 1;
+  policy.max_retries_per_iteration = 2;
+  ResilientTrainer resilient(GptWeights::init(cfg, 73), 2, OutputAlgo::Alg1,
+                             PipelineFlavor::OneFOneBVocab, policy);
+  FaultSpec spec;
+  spec.kind = FaultKind::ThrowInOp;
+  spec.iteration = 0;
+  spec.device = 0;
+  spec.op_index = 1;
+  auto injector = std::make_shared<FaultInjector>(FaultPlan::single(spec));
+  resilient.set_fault_injector(injector);
+
+  resilient.train_iteration(microbatches(corpus, 0, 4), OptimizerConfig::sgd(0.1f));
+  EXPECT_EQ(injector->faults_fired(), 1);
+  EXPECT_EQ(resilient.stats().downgrades, 1);
+  EXPECT_EQ(resilient.pipeline_width(), 1);
+}
+
 // ---------------------------------------------------------------------------
 // Numeric guardrails (src/guard): silently corrupted tensors (NaN / Inf data
 // faults) are caught by the fence within the same iteration with exact
@@ -789,19 +843,6 @@ TEST(ElasticRecovery, NextSmallerWidthHonorsFlavorConstraints) {
 // is bit-identical to a fault-free run; an aborted iteration leaves no
 // residue in the mailboxes or the collective group.
 // ---------------------------------------------------------------------------
-
-/// Sets an environment variable for the lifetime of one test (exception-safe:
-/// a failing assertion must not leak the guard level into later tests).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 class GuardDetection : public testing::TestWithParam<FaultCase> {};
 

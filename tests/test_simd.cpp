@@ -363,17 +363,6 @@ TEST(LossScaler, RestoreResumesPersistedState) {
   EXPECT_EQ(s.overflow_count(), 3);
 }
 
-TEST(LossScalerConfig, FromEnvOverrides) {
-  ::setenv("VOCAB_LOSS_SCALE_INIT", "256", 1);
-  ::setenv("VOCAB_LOSS_SCALE_GROWTH_INTERVAL", "5", 1);
-  const LossScalerConfig cfg = LossScalerConfig::from_env();
-  ::unsetenv("VOCAB_LOSS_SCALE_INIT");
-  ::unsetenv("VOCAB_LOSS_SCALE_GROWTH_INTERVAL");
-  EXPECT_EQ(cfg.init_scale, 256.0f);
-  EXPECT_EQ(cfg.growth_interval, 5);
-  EXPECT_EQ(LossScalerConfig::from_env().init_scale, 65536.0f);
-}
-
 // ---------------------------------------------------------------------------
 // Mixed-precision training integration
 // ---------------------------------------------------------------------------

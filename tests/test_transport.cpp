@@ -803,17 +803,6 @@ transport::Frame sample_frame(transport::FrameKind kind) {
       writer.str("act-f3");
       writer.tensor(Tensor({2, 2}, {1.0f, -2.0f, 3.5f, 0.25f}));
       break;
-    case transport::FrameKind::kCollJoin:
-      writer.u64(3);  // collective index
-      writer.u32(1);  // op code (all-reduce sum)
-      writer.u32(0);  // root
-      writer.str("grad-sync");
-      writer.tensor(Tensor({3}, {0.5f, 1.5f, 2.5f}));
-      break;
-    case transport::FrameKind::kCollResult:
-      writer.u64(3);
-      writer.tensor(Tensor({3}, {9.0f, 8.0f, 7.0f}));
-      break;
   }
   frame.payload = writer.take();
   return frame;
@@ -822,8 +811,7 @@ transport::Frame sample_frame(transport::FrameKind kind) {
 TEST(TcpFrame, EncodeDecodeRoundTripAllKinds) {
   const transport::FrameKind kinds[] = {
       transport::FrameKind::kHello, transport::FrameKind::kHeartbeat,
-      transport::FrameKind::kData, transport::FrameKind::kCollJoin,
-      transport::FrameKind::kCollResult};
+      transport::FrameKind::kData};
   for (const transport::FrameKind kind : kinds) {
     const transport::Frame in = sample_frame(kind);
     std::vector<std::byte> wire;
@@ -951,7 +939,7 @@ TEST(TcpFrame, FuzzedBytesNeverCrashDecoder) {
 
   // (b) Every single-byte mutation of a real frame.
   std::vector<std::byte> wire;
-  transport::encode_frame(sample_frame(transport::FrameKind::kCollJoin), &wire);
+  transport::encode_frame(sample_frame(transport::FrameKind::kData), &wire);
   for (std::size_t i = 0; i < wire.size(); ++i) {
     std::vector<std::byte> mutated = wire;
     mutated[i] ^= std::byte{0xff};
@@ -1194,6 +1182,54 @@ TEST(TcpFork, CrossProcessPingPong) {
       for (std::int64_t i = 0; i < ping.numel(); ++i) ping.data()[i] *= 2.0f;
       inbox0.send("pong", std::move(ping));
     }
+    backend->mark_done();
+  });
+
+  ASSERT_TRUE(group.wait_all(std::chrono::seconds(60)));
+  for (const transport::ProcessExit& exit : group.exits()) {
+    EXPECT_TRUE(exit.exited) << exit.describe();
+    EXPECT_EQ(exit.status, transport::kWorkerExitOk) << exit.describe();
+  }
+}
+
+// Attached mode runs the in-process collective over the mesh: an
+// out-of-range broadcast root is rejected on every rank before it waits, and
+// all-reduce, broadcast and barrier deliver rank-order results across
+// processes, each collective counted once.
+TEST(TcpFork, MeshCollectivesRejectBadRootAndReduceInRankOrder) {
+  VOCAB_REQUIRE_TCP_FORK_SUPPORT();
+  constexpr int kWorld = 3;
+  auto arena = transport::ShmArena::create(tcp_control_arena_options(kWorld));
+  ASSERT_NE(arena, nullptr);
+
+  transport::TransportConfig config;
+  config.heartbeat_period = std::chrono::milliseconds(20);
+  config.heartbeat_timeout = std::chrono::milliseconds(500);
+
+  auto group = transport::ProcessGroup::spawn(kWorld, [&](int rank) {
+    auto backend = transport::TcpTransport::attach(*arena, rank, config);
+    DeviceGroup collective(kWorld, std::chrono::seconds(30), backend.get());
+
+    Tensor ignored({1}, {1.0f});
+    bool rejected = false;
+    try {
+      collective.broadcast(rank, /*root=*/kWorld, ignored, "bad-root");
+    } catch (const CheckError&) {
+      rejected = true;
+    }
+    VOCAB_CHECK(rejected, "rank " << rank << " accepted broadcast root " << kWorld);
+
+    const float r = static_cast<float>(rank);
+    Tensor sum({2}, {r + 1.0f, 10.0f * (r + 1.0f)});
+    collective.all_reduce(rank, sum, ReduceOp::Sum, "sum");
+    VOCAB_CHECK(sum.data()[0] == 6.0f && sum.data()[1] == 60.0f,
+                "rank " << rank << " all_reduce gave " << sum.data()[0] << ", " << sum.data()[1]);
+    Tensor bcast({1}, {r});
+    collective.broadcast(rank, /*root=*/2, bcast, "bcast");
+    VOCAB_CHECK(bcast.data()[0] == 2.0f, "rank " << rank << " broadcast gave " << bcast.data()[0]);
+    collective.barrier(rank, "done");
+    VOCAB_CHECK(collective.completed_collectives() == 3,
+                "rank " << rank << " counted " << collective.completed_collectives());
     backend->mark_done();
   });
 
@@ -1497,10 +1533,18 @@ TEST(TcpFork, ElasticCleanRunMatchesInProcess) {
 // Wait contract: every backend's blocking waits share one behaviour. A
 // mailbox wait and a collective wait time out as DeadlockError naming the tag
 // and the backend, and a token abort posted mid-wait unblocks both within one
-// poll slice.
+// poll slice. A collective whose ranks disagree on the tag fails on every
+// rank long before the timeout, and an out-of-range broadcast root fails
+// before anyone waits.
 // ---------------------------------------------------------------------------
 
-enum class WaitCase { kRecvTimeout, kBarrierMissingRank, kAbortMidWait };
+enum class WaitCase {
+  kRecvTimeout,
+  kBarrierMissingRank,
+  kAbortMidWait,
+  kTagMismatch,
+  kBroadcastRootOutOfRange
+};
 
 using WaitContractParam = std::tuple<transport::TransportKind, WaitCase>;
 
@@ -1614,12 +1658,71 @@ TEST_P(WaitContract, Holds) {
       }
       break;
     }
+    case WaitCase::kTagMismatch: {
+      // Rank 0 joins barrier 'a', rank 1 barrier 'b'. The rank that detects
+      // the mismatch throws CheckError naming both tags; the other is
+      // released with an error too, and nobody sits out the timeout.
+      constexpr std::chrono::seconds kLongTimeout{5};
+      DeviceGroup group(2, kLongTimeout, backend_.get());
+      struct Outcome {
+        bool check_error = false;
+        std::string what;
+        double seconds = 0.0;
+      };
+      Outcome outcomes[2];
+      const auto t0 = Clock::now();
+      auto join = [&](int rank, const std::string& tag) {
+        try {
+          group.barrier(rank, tag);
+        } catch (const CheckError& e) {
+          outcomes[rank].check_error = true;
+          outcomes[rank].what = e.what();
+        } catch (const std::exception& e) {
+          outcomes[rank].what = e.what();
+        }
+        outcomes[rank].seconds = seconds_since(t0);
+      };
+      std::thread rank1(join, 1, "b");
+      join(0, "a");
+      rank1.join();
+
+      int detectors = 0;
+      for (int r = 0; r < 2; ++r) {
+        const Outcome& out = outcomes[r];
+        EXPECT_FALSE(out.what.empty()) << "rank " << r << " returned from a mismatched barrier";
+        EXPECT_LT(out.seconds, 0.25 * static_cast<double>(kLongTimeout.count()))
+            << "rank " << r << ": " << out.what;
+        if (!out.check_error) continue;
+        ++detectors;
+        EXPECT_NE(out.what.find("collective mismatch"), std::string::npos) << out.what;
+        EXPECT_NE(out.what.find("'a'"), std::string::npos) << out.what;
+        EXPECT_NE(out.what.find("'b'"), std::string::npos) << out.what;
+      }
+      EXPECT_EQ(detectors, 1) << outcomes[0].what << " | " << outcomes[1].what;
+      break;
+    }
+    case WaitCase::kBroadcastRootOutOfRange: {
+      // Every rank rejects root == world on entry. The calls run one after the
+      // other on this thread, so a rank that waited for its peer would time
+      // out with DeadlockError instead.
+      DeviceGroup group(2, kTimeout, backend_.get());
+      for (int rank = 0; rank < 2; ++rank) {
+        Tensor data({2}, {1.0f, 2.0f});
+        const auto t0 = Clock::now();
+        EXPECT_THROW(group.broadcast(rank, /*root=*/2, data, "wc:bad-root"), CheckError)
+            << "rank " << rank;
+        EXPECT_LT(seconds_since(t0), 0.001 * static_cast<double>(kTimeout.count()))
+            << "rank " << rank;
+      }
+      break;
+    }
   }
 }
 
 std::string wait_contract_name(const ::testing::TestParamInfo<WaitContractParam>& info) {
   static constexpr const char* kCases[] = {"recv_timeout", "barrier_missing_rank",
-                                           "abort_mid_wait"};
+                                           "abort_mid_wait", "tag_mismatch",
+                                           "broadcast_root_out_of_range"};
   return std::string(transport::to_string(std::get<0>(info.param))) + "_" +
          kCases[static_cast<int>(std::get<1>(info.param))];
 }
@@ -1630,7 +1733,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          transport::TransportKind::kShm,
                                          transport::TransportKind::kTcp),
                        ::testing::Values(WaitCase::kRecvTimeout, WaitCase::kBarrierMissingRank,
-                                         WaitCase::kAbortMidWait)),
+                                         WaitCase::kAbortMidWait, WaitCase::kTagMismatch,
+                                         WaitCase::kBroadcastRootOutOfRange)),
     wait_contract_name);
 
 // ---------------------------------------------------------------------------
