@@ -9,11 +9,16 @@
 // the same pipelined run at VOCAB_GUARD_LEVEL 0/1/2, so the fence's cost —
 // and level 0's zero-overhead claim — is a number in the JSON, not a
 // promise in a doc. A `transport` section A/Bs the comm backends (threads vs shm rings vs tcp
-// loopback sockets) on the same schedule: all three are bit-identical by
-// construction, so the deltas price serialization + kernel crossings.
+// loopback sockets) on the same schedule, under both output-layer algorithms
+// (Alg 1's two barriers per microbatch against Alg 2's one), with process CPU
+// seconds per iteration beside the wall clock: all three backends are
+// bit-identical by construction, so the deltas price serialization, kernel
+// crossings and wake-up latency, and the CPU column shows any busy-spin.
 //
 // Usage: bench_pipeline_wallclock [--json <path>] [--p <devices>]
 //                                 [--m <microbatches>] [--iters <n>]
+
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -112,42 +117,71 @@ GuardOverhead run_guard_overhead(const GptWeights& weights, const std::vector<Sa
   return g;
 }
 
-/// Comm backends on the same schedule: in-process threads (mutex+condvar
-/// queues), shm rings (lock-free SPSC over a shared mapping), and tcp
-/// loopback sockets (CRC-framed, supervised). The transport suite asserts
-/// all three are bit-identical, so the deltas here price pure serialization
-/// and kernel-crossing cost — what a deployment pays to leave one machine.
-struct TransportAb {
+/// CPU seconds consumed so far by every thread of this process.
+double process_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// One backend running one schedule: wall clock and process CPU time per
+/// iteration.
+struct TransportRow {
+  std::string backend;
   std::string flavor;
-  double ns_threads = 0.0;
-  double ns_shm = 0.0;  // 0 = backend unsupported on this platform
-  double ns_tcp = 0.0;  // 0 = backend unsupported on this platform
+  double ns_per_iter = 0.0;
+  double cpu_s_per_iter = 0.0;
 };
 
-TransportAb run_transport_ab(const GptWeights& weights, const std::vector<Sample>& mbs,
-                             int p, const Flavor& f, int iters) {
-  TransportAb ab;
-  ab.flavor = f.key;
+/// Comm backends on the same schedules: in-process threads (mutex+condvar
+/// queues), shm rings (futex doorbells over a shared mapping), and tcp
+/// loopback sockets (CRC-framed). The transport suite asserts all three are
+/// bit-identical, so the deltas here price serialization, kernel crossings
+/// and wake-up latency — what a deployment pays to leave one machine. Each
+/// backend runs every flavor in `flavors`; a backend the platform lacks has
+/// no rows.
+std::vector<TransportRow> run_transport_ab(const GptWeights& weights,
+                                           const std::vector<Sample>& mbs, int p,
+                                           const std::vector<Flavor>& flavors, int iters) {
+  std::vector<TransportRow> rows;
   const auto time_backend = [&](transport::Transport* backend) {
-    PipelineTrainer trainer(weights, p, f.algo, f.flavor, backend);
-    trainer.train_iteration(mbs, 0.05f);  // warmup
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) trainer.train_iteration(mbs, 0.05f);
-    return std::chrono::duration<double, std::nano>(Clock::now() - t0).count() / iters;
+    for (const Flavor& f : flavors) {
+      PipelineTrainer trainer(weights, p, f.algo, f.flavor, backend);
+      trainer.train_iteration(mbs, 0.05f);  // warmup
+      const double cpu0 = process_cpu_seconds();
+      const auto t0 = Clock::now();
+      for (int i = 0; i < iters; ++i) trainer.train_iteration(mbs, 0.05f);
+      TransportRow row;
+      row.backend = backend->name();
+      row.flavor = f.key;
+      row.ns_per_iter =
+          std::chrono::duration<double, std::nano>(Clock::now() - t0).count() / iters;
+      row.cpu_s_per_iter = (process_cpu_seconds() - cpu0) / iters;
+      rows.push_back(std::move(row));
+    }
   };
   {
     transport::ThreadTransport threads;
-    ab.ns_threads = time_backend(&threads);
+    time_backend(&threads);
   }
   if (transport::shm_transport_supported()) {
     transport::ShmTransport shm = transport::ShmTransport::in_process();
-    ab.ns_shm = time_backend(&shm);
+    time_backend(&shm);
   }
   if (transport::tcp_transport_supported()) {
     transport::TcpTransport tcp = transport::TcpTransport::in_process();
-    ab.ns_tcp = time_backend(&tcp);
+    time_backend(&tcp);
   }
-  return ab;
+  return rows;
+}
+
+/// ns/iter of `backend` on `flavor`, or 0 when the backend has no row.
+double transport_ns(const std::vector<TransportRow>& rows, const std::string& backend,
+                    const std::string& flavor) {
+  for (const TransportRow& r : rows) {
+    if (r.backend == backend && r.flavor == flavor) return r.ns_per_iter;
+  }
+  return 0.0;
 }
 
 /// fp32 vs bf16 mixed precision on the same schedule: wall clock, the
@@ -258,7 +292,8 @@ std::vector<SearchBenchRow> run_schedule_search(const GptWeights& weights,
 }
 
 std::string render_json(const std::vector<Result>& results, const GuardOverhead& guard,
-                        const MixedPrecisionAb& mp, const TransportAb& tab,
+                        const MixedPrecisionAb& mp, const std::vector<TransportRow>& transport,
+                        const std::string& transport_flavor,
                         const std::vector<SearchBenchRow>& search_rows, int p, int m) {
   // Record the measurement machine: overlap can only buy wall-clock when the
   // p device threads have >= p cores to land on (see DESIGN.md §10).
@@ -331,18 +366,32 @@ std::string render_json(const std::vector<Result>& results, const GuardOverhead&
   out += "\n";
   // ns_per_iter 0 = backend unsupported on the measurement machine (shm
   // needs fork+shared mappings, tcp needs loopback sockets); overhead is
-  // relative to the threads backend and 0 when the column is absent.
+  // relative to the threads backend and 0 when the column is absent. The
+  // summary keys are for `transport_flavor`; `rows` holds every backend x
+  // flavor with its CPU time.
+  const double ns_threads = transport_ns(transport, "threads", transport_flavor);
+  const double ns_shm = transport_ns(transport, "shm", transport_flavor);
+  const double ns_tcp = transport_ns(transport, "tcp", transport_flavor);
   std::snprintf(buf, sizeof(buf),
                 "  \"transport\": {\"flavor\": \"%s\", \"ns_per_iter_threads\": %.0f, "
                 "\"ns_per_iter_shm\": %.0f, \"ns_per_iter_tcp\": %.0f, ",
-                tab.flavor.c_str(), tab.ns_threads, tab.ns_shm, tab.ns_tcp);
+                transport_flavor.c_str(), ns_threads, ns_shm, ns_tcp);
   out += buf;
-  std::snprintf(buf, sizeof(buf), "\"shm_overhead\": %.4f, \"tcp_overhead\": %.4f},\n",
-                tab.ns_threads > 0.0 && tab.ns_shm > 0.0 ? tab.ns_shm / tab.ns_threads - 1.0
-                                                         : 0.0,
-                tab.ns_threads > 0.0 && tab.ns_tcp > 0.0 ? tab.ns_tcp / tab.ns_threads - 1.0
-                                                         : 0.0);
+  std::snprintf(buf, sizeof(buf), "\"shm_overhead\": %.4f, \"tcp_overhead\": %.4f, ",
+                ns_threads > 0.0 && ns_shm > 0.0 ? ns_shm / ns_threads - 1.0 : 0.0,
+                ns_threads > 0.0 && ns_tcp > 0.0 ? ns_tcp / ns_threads - 1.0 : 0.0);
   out += buf;
+  out += "\"rows\": [\n";
+  for (std::size_t i = 0; i < transport.size(); ++i) {
+    const TransportRow& r = transport[i];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"backend\": \"%s\", \"flavor\": \"%s\", \"ns_per_iter\": %.0f, "
+                  "\"cpu_s_per_iter\": %.4f}",
+                  r.backend.c_str(), r.flavor.c_str(), r.ns_per_iter, r.cpu_s_per_iter);
+    out += buf;
+    out += i + 1 < transport.size() ? ",\n" : "\n";
+  }
+  out += "  ]},\n";
   out += "  \"schedule_search\": [\n";
   for (std::size_t i = 0; i < search_rows.size(); ++i) {
     const SearchBenchRow& r = search_rows[i];
@@ -458,23 +507,17 @@ int run(int argc, char** argv) {
               (guard.ns_per_iter[2] / guard.ns_per_iter[0] - 1.0) * 100.0);
 
   // Comm-backend pricing (threads vs shm vs tcp) on the paper's main
-  // schedule; unsupported backends print as such and record 0 in the JSON.
-  const TransportAb tab = run_transport_ab(weights, mbs, p, flavors[2], iters);
-  std::printf("  transport (%s): threads %.2f ms/iter", tab.flavor.c_str(),
-              tab.ns_threads / 1e6);
-  if (tab.ns_shm > 0.0) {
-    std::printf(", shm %.2f (%+.2f%%)", tab.ns_shm / 1e6,
-                (tab.ns_shm / tab.ns_threads - 1.0) * 100.0);
-  } else {
-    std::printf(", shm unsupported");
+  // schedule under Alg 1 (two output-layer barriers per microbatch) and
+  // Alg 2 (one); unsupported backends have no rows and record 0 in the JSON.
+  const std::vector<TransportRow> transport =
+      run_transport_ab(weights, mbs, p, {flavors[2], flavors[3]}, iters);
+  std::printf("  transport (ms/iter, process cpu s/iter):\n");
+  for (const TransportRow& r : transport) {
+    const double threads_ns = transport_ns(transport, "threads", r.flavor);
+    std::printf("    %-8s %-16s %8.2f ms  %+7.2f%% vs threads  cpu %.4f s\n",
+                r.backend.c_str(), r.flavor.c_str(), r.ns_per_iter / 1e6,
+                (r.ns_per_iter / threads_ns - 1.0) * 100.0, r.cpu_s_per_iter);
   }
-  if (tab.ns_tcp > 0.0) {
-    std::printf(", tcp %.2f (%+.2f%%)", tab.ns_tcp / 1e6,
-                (tab.ns_tcp / tab.ns_threads - 1.0) * 100.0);
-  } else {
-    std::printf(", tcp unsupported");
-  }
-  std::printf("\n");
 
   // Schedule search: predicted vs measured bubble fraction for the searched
   // winner, the equal-memory zb-vocab members, and the 1f1b-vocab baselines.
@@ -502,7 +545,7 @@ int run(int argc, char** argv) {
       return 1;
     }
     const std::string json =
-        render_json(results, guard, mp, tab, search_rows, p, m);
+        render_json(results, guard, mp, transport, flavors[2].key, search_rows, p, m);
     std::fwrite(json.data(), 1, json.size(), out);
     std::fclose(out);
     std::printf("wrote %s\n", json_path->c_str());

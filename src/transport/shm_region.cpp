@@ -1,7 +1,9 @@
 #include "transport/shm_region.h"
 
+#include <linux/futex.h>
 #include <sched.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -34,6 +36,35 @@ std::int64_t shm_monotonic_ns() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
+// ---------------------------------------------------------------------------
+// Doorbell
+// ---------------------------------------------------------------------------
+
+// The futex syscall operates on the raw 32-bit word inside the atomic.
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+                  std::atomic<std::uint32_t>::is_always_lock_free,
+              "the doorbell futex needs a plain lock-free 32-bit word");
+
+void shm_bell_ring(std::atomic<std::uint32_t>& bell) noexcept {
+  bell.fetch_add(1, std::memory_order_release);
+  ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&bell), FUTEX_WAKE, INT32_MAX, nullptr,
+            nullptr, 0);
+}
+
+void shm_bell_wait(const std::atomic<std::uint32_t>& bell, std::uint32_t seen,
+                   std::chrono::nanoseconds timeout) noexcept {
+  if (timeout.count() <= 0) return;
+  const auto secs = std::chrono::duration_cast<std::chrono::seconds>(timeout);
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(secs.count());
+  ts.tv_nsec = static_cast<long>((timeout - secs).count());
+  // Returns at once (EAGAIN) when the bell already moved past `seen`; EINTR
+  // and ETIMEDOUT are ordinary wake-ups, the caller re-checks either way.
+  ::syscall(SYS_futex,
+            const_cast<std::uint32_t*>(reinterpret_cast<const std::uint32_t*>(&bell)), FUTEX_WAIT,
+            seen, &ts, nullptr, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -85,6 +116,7 @@ void ShmCollectiveControl::post_failure(const char* text) noexcept {
     failure_set.store(1, std::memory_order_release);
   }
   failure_lock.unlock();
+  shm_bell_ring(bell);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@
 // the transport polls the abort/deadline path so that degenerates into a
 // detected death, not a hang.
 //
+// Blocked waits sleep on a doorbell: a 32-bit counter in the region that a
+// publisher bumps and wakes with FUTEX_WAKE, and a waiter sleeps on with
+// FUTEX_WAIT. The futex is process-shared (not FUTEX_PRIVATE), so a waiter in
+// one worker is woken by a publisher in another. A doorbell is only a wake-up
+// hint: every waiter re-checks its condition and bounds each sleep, so a
+// publisher that dies between publishing and ringing costs one bounded sleep.
+//
 // Layout of an arena (all blocks 64-byte aligned, offsets in the header):
 //   ShmArenaHeader | ShmAbortBlock | ShmRankState[world] | ShmProgressBlock
 //   | one collective region (control + waiting flags + tags + per-rank slots
@@ -22,6 +29,7 @@
 // the in-process shm mode gives each mailbox/collective its own mapping.
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -42,6 +50,17 @@ inline constexpr std::size_t kShmTagBytes = 160;
 inline constexpr std::size_t kShmFailureBytes = 1024;
 inline constexpr std::size_t kShmAbortWhatBytes = 2048;
 inline constexpr std::size_t kShmProgressSlots = 4096;
+
+/// Bump `bell` and wake every process sleeping on it. Publishers call this
+/// after the state change a waiter polls for is visible.
+void shm_bell_ring(std::atomic<std::uint32_t>& bell) noexcept;
+
+/// Sleep until `bell` no longer reads `seen`, a wake-up arrives, or `timeout`
+/// passes; spurious returns are allowed. A waiter reads `seen` BEFORE it
+/// evaluates its condition, so a ring that lands between the check and this
+/// call makes it return at once instead of being lost.
+void shm_bell_wait(const std::atomic<std::uint32_t>& bell, std::uint32_t seen,
+                   std::chrono::nanoseconds timeout) noexcept;
 
 /// Minimal test-and-set spinlock that lives in shared memory. Callers must
 /// bound their spin (try_lock + their own backoff/deadline); lock() is only
@@ -102,9 +121,13 @@ struct alignas(kShmAlign) ShmCollectiveControl {
   std::atomic<std::uint64_t> completed{0};
   ShmSpinLock failure_lock;
   std::atomic<std::uint32_t> failure_set{0};
+  /// Doorbell of every collective wait: rung on each generation bump, when
+  /// the last rank departs, and by post_failure.
+  std::atomic<std::uint32_t> bell{0};
   char failure[kShmFailureBytes] = {};
 
-  /// First failure wins (mirrors DeviceGroup's failure_ string semantics).
+  /// First failure wins (mirrors DeviceGroup's failure_ string semantics);
+  /// rings the bell so blocked ranks see the poison at once.
   void post_failure(const char* text) noexcept;
   /// Copy of the failure text ("" when none). Safe without the lock: the
   /// buffer is written once before failure_set's release store.
@@ -137,17 +160,22 @@ struct ShmCollectiveView {
 /// Placement-initialize every object in the region (creator side, pre-fork).
 void shm_init_collective(const ShmCollectiveView& view);
 
-/// Ring buffer control. head/tail are monotonically increasing byte counts
+/// Ring buffer control. head/tail are byte counts that grow between rewinds
 /// (position = value % capacity_bytes); occupancy counts messages written
 /// but not yet *delivered* to a recv call — that is what gives the shm
 /// mailbox the same bounded-channel backpressure semantics as the thread
 /// Channel even though the reader eagerly drains the ring into local memory.
+/// A reader whose drain empties the ring rewinds head and tail to 0 under
+/// write_lock, so traffic keeps reusing the first pages of the buffer.
 struct alignas(kShmAlign) ShmRingControl {
   ShmSpinLock write_lock;
   std::atomic<std::uint64_t> head{0};
   std::atomic<std::uint64_t> tail{0};
   std::atomic<std::int64_t> occupancy{0};
   std::uint64_t capacity_bytes = 0;
+  /// Doorbell of both ends: writers ring after publishing head, the reader
+  /// after moving tail or delivering a message (which frees a send slot).
+  std::atomic<std::uint32_t> bell{0};
 };
 
 struct ShmRingView {

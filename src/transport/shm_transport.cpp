@@ -120,6 +120,42 @@ AbortReason reason_from_arena(const ShmAbortBlock& block) {
 constexpr std::size_t kInProcessRingBytes = std::size_t{8} << 20;
 constexpr std::size_t kInProcessSlotBytes = std::size_t{4} << 20;
 
+/// How many times a writer retries a write_lock held by another writer before
+/// it parks. The holder keeps the lock for one record's memcpy, so a short
+/// yield loop nearly always wins it; parking would cost a doorbell timeout
+/// whenever the holder has nothing to publish (a full ring).
+constexpr int kWriteLockSpins = 64;
+
+/// The park step of every shm wait: a futex sleep on one region's doorbell,
+/// never longer than kAbortPollInterval, so the abort and dead-peer checks
+/// still run on every lap. sampled() wraps a ready predicate to read the bell
+/// before each evaluation; a ring that lands after that read makes the next
+/// park return at once, so no wake-up is lost between check and sleep.
+class DoorbellWait {
+ public:
+  explicit DoorbellWait(std::atomic<std::uint32_t>& bell) : bell_(bell) {}
+
+  template <typename Ready>
+  auto sampled(Ready ready) {
+    return [this, ready]() mutable {
+      seen_ = bell_.load(std::memory_order_acquire);
+      return ready();
+    };
+  }
+
+  /// The PollWait park hook; `this` must outlive the PollWait.
+  WaitHooks::Park park() {
+    return [this](int, std::chrono::steady_clock::duration remaining) {
+      shm_bell_wait(bell_, seen_,
+                    std::min<std::chrono::steady_clock::duration>(remaining, kAbortPollInterval));
+    };
+  }
+
+ private:
+  std::atomic<std::uint32_t>& bell_;
+  std::uint32_t seen_ = 0;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -188,8 +224,10 @@ void ShmMailbox::set_abort_token(std::shared_ptr<AbortToken> token) {
 
 void ShmMailbox::drain_ring() const {
   // Single-reader invariant: only the owning rank's recv path touches tail.
-  const std::uint64_t head = ring_.control->head.load(std::memory_order_acquire);
-  std::uint64_t tail = ring_.control->tail.load(std::memory_order_relaxed);
+  ShmRingControl& control = *ring_.control;
+  const std::uint64_t head = control.head.load(std::memory_order_acquire);
+  std::uint64_t tail = control.tail.load(std::memory_order_relaxed);
+  const bool drained = tail != head;
   std::vector<std::byte> buf;
   while (tail < head) {
     std::uint64_t rec_len = 0;
@@ -201,12 +239,30 @@ void ShmMailbox::drain_ring() const {
   }
   // Release the bytes back to writers; `occupancy` still counts the drained
   // messages until they are delivered, preserving the channel capacity bound.
-  ring_.control->tail.store(tail, std::memory_order_release);
+  if (drained) control.tail.store(tail, std::memory_order_release);
+  // Rewind an empty ring so the next records land on the first pages again
+  // instead of walking (and keeping resident) the whole buffer. Only under
+  // write_lock, and only if no writer published since the drain; a busy lock
+  // skips the rewind and a later drain retries it.
+  if (tail != 0 && control.write_lock.try_lock()) {
+    if (control.head.load(std::memory_order_relaxed) == tail) {
+      control.head.store(0, std::memory_order_relaxed);
+      control.tail.store(0, std::memory_order_relaxed);
+    }
+    control.write_lock.unlock();
+  }
+  if (drained) shm_bell_ring(control.bell);
+}
+
+void ShmMailbox::delivered(std::int64_t count) const {
+  const std::int64_t before = ring_.control->occupancy.fetch_sub(count, std::memory_order_acq_rel);
+  // A sender parks on a full mailbox only while occupancy >= capacity.
+  if (before >= static_cast<std::int64_t>(capacity_)) shm_bell_ring(ring_.control->bell);
 }
 
 template <typename Ready>
 void ShmMailbox::wait(const char* verb, const std::string& tag, Ready&& ready) const {
-  const std::uint64_t seed = static_cast<std::uint64_t>(peers_.self + 2) * 0x9e3779b97f4a7c15ULL;
+  DoorbellWait bell(ring_.control->bell);
   PollWait poll(
       timeout_, locked_copy(mutex_, abort_),
       {.interrupted = [&] { return channel_interrupted(verb, tag); },
@@ -238,8 +294,8 @@ void ShmMailbox::wait(const char* verb, const std::string& tag, Ready&& ready) c
              return DeadlockError(channel_timed_out(verb, tag, elapsed_ms, timeout_) + occupancy +
                                   peers_.diag_suffix());
            },
-       .park = backoff_park(config_, seed)});
-  poll.until(ready);
+       .park = bell.park()});
+  poll.until(bell.sampled(std::forward<Ready>(ready)));
 }
 
 void ShmMailbox::send(std::string tag, Tensor payload) {
@@ -249,7 +305,10 @@ void ShmMailbox::send(std::string tag, Tensor payload) {
                                       << " bytes) exceeds ring capacity "
                                       << ring_.control->capacity_bytes);
   wait("send (full)", tag, [&] {
-    if (!ring_.control->write_lock.try_lock()) return false;
+    for (int spins = 0; !ring_.control->write_lock.try_lock(); ++spins) {
+      if (spins == kWriteLockSpins) return false;
+      std::this_thread::yield();
+    }
     bool wrote = false;
     const std::uint64_t head = ring_.control->head.load(std::memory_order_relaxed);
     const std::uint64_t tail = ring_.control->tail.load(std::memory_order_acquire);
@@ -262,6 +321,7 @@ void ShmMailbox::send(std::string tag, Tensor payload) {
       wrote = true;
     }
     ring_.control->write_lock.unlock();
+    if (wrote) shm_bell_ring(ring_.control->bell);
     return wrote;
   });
 }
@@ -274,7 +334,7 @@ Message ShmMailbox::recv() {
     if (pending_.empty()) return false;
     msg = std::move(pending_.front());
     pending_.pop_front();
-    ring_.control->occupancy.fetch_sub(1, std::memory_order_relaxed);
+    delivered(1);
     return true;
   });
   return msg;
@@ -290,7 +350,7 @@ Tensor ShmMailbox::recv_tag(const std::string& tag) {
     if (it == pending_.end()) return false;
     payload = std::move(it->payload);
     pending_.erase(it);
-    ring_.control->occupancy.fetch_sub(1, std::memory_order_relaxed);
+    delivered(1);
     return true;
   });
   return payload;
@@ -301,7 +361,7 @@ void ShmMailbox::clear() {
   drain_ring();
   const auto cleared = static_cast<std::int64_t>(pending_.size());
   pending_.clear();
-  ring_.control->occupancy.fetch_sub(cleared, std::memory_order_relaxed);
+  if (cleared > 0) delivered(cleared);
 }
 
 std::size_t ShmMailbox::size() const {
@@ -324,11 +384,10 @@ std::string ShmMailbox::describe() const {
 // ---------------------------------------------------------------------------
 
 ShmCollective::ShmCollective(int world_size, std::chrono::milliseconds timeout,
-                             TransportConfig config, ShmCollectiveView view, ShmPeerView peers,
+                             ShmCollectiveView view, ShmPeerView peers,
                              std::unique_ptr<ShmMapping> owned_region)
     : world_(world_size),
       timeout_(timeout == kCommTimeoutFromEnv ? default_comm_timeout() : timeout),
-      config_(config),
       view_(view),
       peers_(peers),
       owned_region_(std::move(owned_region)) {
@@ -354,9 +413,9 @@ void ShmCollective::rendezvous(int rank, const std::string& tag, const char* kin
   VOCAB_CHECK(tag.size() < kShmTagBytes,
               "collective tag '" << tag << "' exceeds " << kShmTagBytes - 1 << " bytes");
   ShmCollectiveControl* c = view_.control;
-  const std::uint64_t seed = static_cast<std::uint64_t>(rank + 2) * 0xbf58476d1ce4e5b9ULL;
   // Every lap re-checks the token, the arena abort, peer death and the
-  // deadline, sleeping the deterministic backoff in between.
+  // deadline, sleeping on the collective's doorbell in between.
+  DoorbellWait bell(c->bell);
   PollWait wait(
       timeout_, locked_copy(mutex_, abort_),
       {.on_abort = [&] { c->post_failure(collective_aborted(kind, tag).c_str()); },
@@ -386,7 +445,7 @@ void ShmCollective::rendezvous(int rank, const std::string& tag, const char* kin
              c->post_failure(failure.c_str());
              return DeadlockError(failure + peers_.diag_suffix());
            },
-       .park = backoff_park(config_, seed)});
+       .park = bell.park()});
 
   view_.waiting[rank].store(1, std::memory_order_relaxed);
   struct WaitingGuard {
@@ -399,7 +458,8 @@ void ShmCollective::rendezvous(int rank, const std::string& tag, const char* kin
   if (poisoned()) throw DeadlockError(std::string("communicator poisoned: ") + c->failure_text());
 
   // Wait for the previous collective to fully drain before joining.
-  wait.until([&] { return c->departed.load(std::memory_order_acquire) == 0 || poisoned(); });
+  wait.until(bell.sampled(
+      [&] { return c->departed.load(std::memory_order_acquire) == 0 || poisoned(); }));
   if (poisoned()) throw DeadlockError(std::string("communicator poisoned: ") + c->failure_text());
 
   const std::uint64_t my_gen = c->generation.load(std::memory_order_acquire);
@@ -418,6 +478,7 @@ void ShmCollective::rendezvous(int rank, const std::string& tag, const char* kin
         c->post_failure(failure.c_str());
         c->arrived.store(0, std::memory_order_relaxed);
         c->generation.fetch_add(1, std::memory_order_release);
+        shm_bell_ring(c->bell);
         throw CheckError(failure);
       }
     }
@@ -427,23 +488,26 @@ void ShmCollective::rendezvous(int rank, const std::string& tag, const char* kin
       c->post_failure((std::string(kind) + " '" + tag + "' failed: " + e.what()).c_str());
       c->arrived.store(0, std::memory_order_relaxed);
       c->generation.fetch_add(1, std::memory_order_release);
+      shm_bell_ring(c->bell);
       throw;
     }
     c->completed.fetch_add(1, std::memory_order_relaxed);
     c->arrived.store(0, std::memory_order_relaxed);
     c->departed.store(world_, std::memory_order_relaxed);
     c->generation.fetch_add(1, std::memory_order_release);
+    shm_bell_ring(c->bell);
     deliver_fn(view_.result);
   } else {
-    wait.until(
-        [&] { return c->generation.load(std::memory_order_acquire) != my_gen || poisoned(); });
+    wait.until(bell.sampled(
+        [&] { return c->generation.load(std::memory_order_acquire) != my_gen || poisoned(); }));
     if (poisoned()) {
       throw DeadlockError(std::string("collective aborted: ") + c->failure_text());
     }
     deliver_fn(view_.result);
   }
 
-  c->departed.fetch_sub(1, std::memory_order_acq_rel);
+  // The last rank out frees the region for the next collective's joiners.
+  if (c->departed.fetch_sub(1, std::memory_order_acq_rel) == 1) shm_bell_ring(c->bell);
 }
 
 void ShmCollective::barrier(int rank, const std::string& tag) {
@@ -585,8 +649,8 @@ std::unique_ptr<Collective> ShmTransport::make_collective(int world_size,
                 "shm transport unavailable: anonymous shared mmap failed on this platform");
     ShmCollectiveView view = shm_map_collective(region->data(), world_size, kInProcessSlotBytes);
     shm_init_collective(view);
-    return std::make_unique<ShmCollective>(world_size, timeout, TransportConfig::from_env(),
-                                           view, ShmPeerView{}, std::move(region));
+    return std::make_unique<ShmCollective>(world_size, timeout, view, ShmPeerView{},
+                                           std::move(region));
   }
   VOCAB_CHECK(!collective_taken_,
               "shm arena holds one collective region and it is already taken");
@@ -594,7 +658,7 @@ std::unique_ptr<Collective> ShmTransport::make_collective(int world_size,
                                                                      << " vs arena world "
                                                                      << arena_->world());
   collective_taken_ = true;
-  return std::make_unique<ShmCollective>(world_size, timeout, config_, arena_->collective(),
+  return std::make_unique<ShmCollective>(world_size, timeout, arena_->collective(),
                                          attached_peers(), nullptr);
 }
 

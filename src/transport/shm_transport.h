@@ -20,11 +20,14 @@
 //     heartbeat timeout, converting real process death into the same
 //     coordinated abort the in-process fault machinery already uses.
 //
-// Blocking waits have no condition variables (nothing to wake a process whose
-// peer was SIGKILL'd): they poll through PollWait with backoff_park() —
-// exponential backoff capped at kAbortPollInterval with deterministic jitter —
-// re-checking the local token, the arena abort block, peer death, and the
-// deadline each lap.
+// Blocking waits have no condition variables (a pthread object in shared
+// memory could be left locked by a SIGKILL'd peer): they poll through
+// PollWait and park on the region's futex doorbell (shm_region.h). A writer
+// rings its ring's bell after publishing a record, the reader after freeing
+// space, and the collective on every generation bump, last departure and
+// failure, so a waiter wakes as soon as its data lands. Each park is bounded
+// by kAbortPollInterval, so every lap still re-checks the local token, the
+// arena abort block, peer death and the deadline at that cadence.
 
 #include <deque>
 #include <functional>
@@ -72,10 +75,15 @@ class ShmMailbox final : public Mailbox {
   [[nodiscard]] std::string describe() const override;
 
  private:
-  /// Move every complete record currently in the ring into pending_.
+  /// Move every complete record currently in the ring into pending_, rewind
+  /// the ring when that leaves it empty, and ring the doorbell for writers.
   void drain_ring() const;
-  /// Poll `ready` through PollWait, adding the arena abort and (past the
-  /// retry budget) dead-peer checks to every lap.
+  /// Count `count` pending messages as handed out; wakes a sender parked on
+  /// a full mailbox.
+  void delivered(std::int64_t count) const;
+  /// Poll `ready` through PollWait, parking on the ring's doorbell and adding
+  /// the arena abort and (past the retry budget) dead-peer checks to every
+  /// lap.
   template <typename Ready>
   void wait(const char* verb, const std::string& tag, Ready&& ready) const;
   [[nodiscard]] std::string describe_locked() const;
@@ -98,9 +106,8 @@ class ShmMailbox final : public Mailbox {
 /// bit-identical across backends.
 class ShmCollective final : public Collective {
  public:
-  ShmCollective(int world_size, std::chrono::milliseconds timeout, TransportConfig config,
-                ShmCollectiveView view, ShmPeerView peers,
-                std::unique_ptr<ShmMapping> owned_region);
+  ShmCollective(int world_size, std::chrono::milliseconds timeout, ShmCollectiveView view,
+                ShmPeerView peers, std::unique_ptr<ShmMapping> owned_region);
 
   [[nodiscard]] int world_size() const override { return world_; }
   void set_abort_token(std::shared_ptr<AbortToken> token) override;
@@ -122,7 +129,6 @@ class ShmCollective final : public Collective {
 
   const int world_;
   const std::chrono::milliseconds timeout_;
-  const TransportConfig config_;
   ShmCollectiveView view_;
   ShmPeerView peers_;
   std::unique_ptr<ShmMapping> owned_region_;  ///< in-process mode only

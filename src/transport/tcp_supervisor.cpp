@@ -62,6 +62,7 @@ TcpSupervisor::TcpSupervisor(ShmArena& arena, int self_rank, TransportConfig con
   arena_.rank_state(self_).heartbeat_ns.store(shm_monotonic_ns(), std::memory_order_release);
 
   links_.resize(static_cast<std::size_t>(world_));
+  mailboxes_.resize(static_cast<std::size_t>(world_) + 1);  // one inbox per rank + collective
   for (int r = 0; r < world_; ++r) {
     links_[static_cast<std::size_t>(r)].peer = r;
     links_[static_cast<std::size_t>(r)].last_alive = std::chrono::steady_clock::now();
@@ -438,13 +439,27 @@ void TcpSupervisor::dispatch_locked(Link& link, const Frame& frame) {
     }
     case FrameKind::kData: {
       if (frame.seq <= link.seq_in) return;  // duplicate (replay or chaos)
-      link.seq_in = frame.seq;
+      if (frame.seq != link.seq_in + 1) {
+        // A gap means frames before this one were lost with an old stream.
+        // Accepting it would turn their replay into "duplicates"; failing
+        // the link instead makes the reconnect replay from seq_in + 1.
+        link_failure_locked(link, "sequence gap: got seq " + std::to_string(frame.seq) +
+                                      " after " + std::to_string(link.seq_in));
+        return;
+      }
       PayloadReader reader(frame.payload);
       const std::uint32_t mailbox = reader.u32();
       Message msg;
       msg.tag = reader.str();
       msg.payload = reader.tensor();
-      if (mailbox >= mailboxes_.size()) mailboxes_.resize(mailbox + 1);
+      if (mailbox >= mailboxes_.size()) {
+        // Mailbox `world` (the collective inbox) is the highest id a peer
+        // may address; anything above is a corrupt or forged frame.
+        link_failure_locked(link, "corrupt frame: mailbox id " + std::to_string(mailbox) +
+                                      " above " + std::to_string(world_));
+        return;
+      }
+      link.seq_in = frame.seq;
       mailboxes_[mailbox].push_back(std::move(msg));
       return;
     }
@@ -493,6 +508,11 @@ void TcpSupervisor::send_reliable_locked(Link& link, FrameKind kind,
   encode_frame(frame, &bytes);
   link.outbox.push_back(OutFrame{frame.seq, bytes});
 
+  // Until both Hellos are exchanged the frame waits in the outbox: the
+  // peer's Hello says which seq it has accepted, and handle_hello_locked
+  // replays the outbox from there in order. Writing it now could put it on
+  // the wire ahead of older frames lost with the previous stream.
+  if (!(link.hello_sent && link.hello_received)) return;
   if (link.fail_after_flush) return;  // stream is being torn down deliberately
   if (link.truncate_next) {
     link.truncate_next = false;
@@ -511,7 +531,7 @@ void TcpSupervisor::send_reliable_locked(Link& link, FrameKind kind,
     // swallow the echo.
     link.wbuf.insert(link.wbuf.end(), bytes.begin(), bytes.end());
   }
-  if (link.fd >= 0) flush_link_locked(link);
+  flush_link_locked(link);
 }
 
 void TcpSupervisor::send_heartbeats_locked(std::chrono::steady_clock::time_point now) {
@@ -629,7 +649,8 @@ void TcpSupervisor::send_data(int peer, std::uint32_t mailbox, const std::string
 
 void TcpSupervisor::enqueue_local(std::uint32_t mailbox, std::string tag, Tensor t) {
   std::lock_guard lock(mutex_);
-  if (mailbox >= mailboxes_.size()) mailboxes_.resize(mailbox + 1);
+  VOCAB_CHECK(mailbox < mailboxes_.size(),
+              "tcp mailbox id " << mailbox << " above the collective inbox " << world_);
   mailboxes_[mailbox].push_back(Message{std::move(tag), std::move(t)});
 }
 

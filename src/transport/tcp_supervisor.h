@@ -22,10 +22,14 @@
 // Reliability: data frames (P2P and collective messages alike) carry a
 // per-link sequence number and stay in a sender-side outbox until the peer's
 // cumulative ack — piggybacked on its in-band heartbeats (and on Hello after
-// a reconnect) — covers them. On reconnect the outbox is replayed from the
-// peer's acked position; the receiver drops any seq it has already accepted,
-// so a transient drop (or a deliberately duplicated frame) never delivers a
-// message twice and never loses one: training continues bit-identically.
+// a reconnect) — covers them. A frame sent while the link is down or its
+// handshake is incomplete waits in the outbox; once both Hellos are exchanged
+// the outbox is replayed from the peer's acked position. The receiver drops
+// any seq it has already accepted and treats a seq gap (or a mailbox id above
+// `world`) as a link failure, so the reconnect replays from the gap
+// (go-back-N): a transient drop (or a deliberately duplicated frame) never
+// delivers a message twice and never loses one, and training continues
+// bit-identically.
 //
 // Death escalation: when a peer is declared dead (silent past
 // VOCAB_HEARTBEAT_TIMEOUT_MS, or its link exhausted the reconnect budget),
@@ -185,6 +189,8 @@ class TcpSupervisor {
     std::chrono::steady_clock::time_point since{};
   };
   std::vector<PendingAccept> pending_accepts_;  ///< accepted, Hello not yet seen
+  /// Indexed by mailbox id: one inbox per rank, then the collective inbox
+  /// (id `world`). Sized once; a frame naming a larger id is corrupt.
   std::vector<std::deque<Message>> mailboxes_;
   std::shared_ptr<AbortToken> token_;
   std::function<bool()> suppressed_;

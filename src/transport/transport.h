@@ -27,7 +27,9 @@
 // Every blocking mailbox and collective call of every backend waits through
 // one loop, PollWait: deadline, attempt count, local AbortToken check and the
 // park step between polls live there once, and a backend passes only its
-// ready predicate, its own checks and its error texts (WaitHooks).
+// ready predicate, its own checks, its error texts and its park step
+// (WaitHooks): a condition-variable wait for threads, a futex doorbell in the
+// shared region for shm (shm_region.h), backoff_park() sleeps for tcp.
 //
 // Selection: VOCAB_TRANSPORT={threads,shm,tcp} (strict-parsed; common/env).
 // Tuning: VOCAB_HEARTBEAT_MS, VOCAB_HEARTBEAT_TIMEOUT_MS, VOCAB_RETRY_MAX,
@@ -151,8 +153,9 @@ struct WaitHooks {
   /// Collectives record their failure here too.
   std::function<DeadlockError(long long elapsed_ms)> expired{};
   /// Blocks between two polls; `remaining` is the time left to the deadline.
-  /// backoff_park() for the sleep-polling backends, a condition-variable
-  /// wait for the threads backend.
+  /// A condition-variable wait for threads, a futex doorbell wait for shm,
+  /// backoff_park() for tcp. Each must return within kAbortPollInterval so
+  /// the token and backend checks keep running.
   Park park{};
 };
 
@@ -186,7 +189,7 @@ class PollWait {
   int attempt_ = 0;
 };
 
-/// The park step of the sleep-polling backends (shm, tcp): sleep
+/// The park step of the sleep-polling tcp backend: sleep
 /// backoff_delay(config, attempt, seed). `config` must outlive the wait.
 [[nodiscard]] WaitHooks::Park backoff_park(const TransportConfig& config, std::uint64_t seed);
 

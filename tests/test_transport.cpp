@@ -6,7 +6,9 @@
 // with its bit-identity recovery guarantee.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <cerrno>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
@@ -39,6 +41,7 @@
 #include "transport/shm_region.h"
 #include "transport/shm_transport.h"
 #include "transport/tcp_frame.h"
+#include "transport/tcp_supervisor.h"
 #include "transport/tcp_transport.h"
 #include "transport/thread_transport.h"
 #include "transport/transport.h"
@@ -396,6 +399,118 @@ TEST(ShmBackend, TrainerBitIdenticalToThreads) {
         << "iteration " << it;
   }
   expect_bitwise_equal(threads_weights, shm_weights);
+}
+
+#ifdef VOCAB_TEST_SANITIZED
+constexpr double kDoorbellRoundsBound = 1.0;  // seconds
+#else
+constexpr double kDoorbellRoundsBound = 0.4;
+#endif
+
+// A blocked shm wait parks on the region's futex doorbell, so it wakes when
+// the data lands. 200 ping-pong round trips and 200 barriers each block at
+// least once per step; a sleep-polling park (>= 2 ms per empty wait) would
+// need well over a second for them.
+TEST(ShmBackend, DoorbellWakesWaitersWhenDataLands) {
+  if (!transport::shm_transport_supported()) GTEST_SKIP() << "no shared mappings";
+  transport::ShmTransport backend = transport::ShmTransport::in_process();
+  Channel to_peer(4, std::chrono::seconds(10), &backend);
+  Channel to_self(4, std::chrono::seconds(10), &backend);
+  DeviceGroup group(2, std::chrono::seconds(10), &backend);
+  constexpr int kRounds = 200;
+
+  const auto t0 = Clock::now();
+  std::thread peer([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      Tensor t = to_peer.recv_tag("ping:" + std::to_string(i));
+      t.data()[0] += 1.0f;
+      to_self.send("pong:" + std::to_string(i), std::move(t));
+    }
+    for (int i = 0; i < kRounds; ++i) group.barrier(1, "b" + std::to_string(i));
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    to_peer.send("ping:" + std::to_string(i), Tensor({1}, {static_cast<float>(i)}));
+    const Tensor pong = to_self.recv_tag("pong:" + std::to_string(i));
+    EXPECT_EQ(pong.data()[0], static_cast<float>(i + 1));
+  }
+  for (int i = 0; i < kRounds; ++i) group.barrier(0, "b" + std::to_string(i));
+  peer.join();
+
+  EXPECT_LT(seconds_since(t0), kDoorbellRoundsBound);
+  EXPECT_EQ(group.completed_collectives(), static_cast<std::uint64_t>(kRounds));
+}
+
+// Ring rewind: records that straddle the ring's end, written by several
+// threads racing the reader's rewind of the emptied ring, arrive byte-exact
+// and in per-writer order, and a drained ring reads head == tail == 0.
+TEST(ShmBackend, RingRewindKeepsRecordsByteExact) {
+  if (!transport::shm_transport_supported()) GTEST_SKIP() << "no shared mappings";
+  constexpr std::size_t kRingBytes = 4096;
+  auto region = transport::ShmMapping::create(transport::shm_ring_region_bytes(kRingBytes));
+  ASSERT_NE(region, nullptr);
+  const transport::ShmRingView ring = transport::shm_map_ring(region->data(), kRingBytes);
+  transport::shm_init_ring(ring, kRingBytes);
+  transport::ShmMailbox mailbox(/*capacity=*/64, std::chrono::seconds(10),
+                                transport::TransportConfig{}, ring, transport::ShmPeerView{},
+                                std::move(region));
+
+  // A tensor whose every float is a function of (writer, index, position).
+  const auto payload = [](int writer, int i) {
+    Tensor t({1 + (7 * i + 13 * writer) % 57});
+    for (std::int64_t k = 0; k < t.numel(); ++k) {
+      t.data()[k] = static_cast<float>(writer * 100000 + i * 100) + static_cast<float>(k) * 0.25f;
+    }
+    return t;
+  };
+  const auto expect_payload = [&](const Tensor& got, int writer, int i) {
+    const Tensor want = payload(writer, i);
+    ASSERT_EQ(got.numel(), want.numel()) << "writer " << writer << " record " << i;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.numel()), 0)
+        << "writer " << writer << " record " << i;
+  };
+
+  // Deterministic straddle: park an empty ring 40 bytes before its end.
+  ring.control->head.store(kRingBytes - 40);
+  ring.control->tail.store(kRingBytes - 40);
+  mailbox.send("straddle", payload(9, 9));
+  EXPECT_GT(ring.control->head.load(), kRingBytes);
+  expect_payload(mailbox.recv_tag("straddle"), 9, 9);
+  EXPECT_EQ(ring.control->head.load(), 0u);
+  EXPECT_EQ(ring.control->tail.load(), 0u);
+
+  // Racing writers, starting again near the end so the first records wrap.
+  ring.control->head.store(kRingBytes - 24);
+  ring.control->tail.store(kRingBytes - 24);
+  constexpr int kWriters = 3;
+  constexpr int kPerWriter = 300;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        mailbox.send("w" + std::to_string(w) + ":" + std::to_string(i), payload(w, i));
+      }
+    });
+  }
+  int next[kWriters] = {0, 0, 0};
+  for (int n = 0; n < kWriters * kPerWriter; ++n) {
+    const Message msg = mailbox.recv();
+    const std::size_t colon = msg.tag.find(':');
+    ASSERT_NE(colon, std::string::npos) << msg.tag;
+    const int w = std::stoi(msg.tag.substr(1, colon - 1));
+    const int i = std::stoi(msg.tag.substr(colon + 1));
+    ASSERT_TRUE(w >= 0 && w < kWriters) << msg.tag;
+    EXPECT_EQ(i, next[w]) << "writer " << w << " out of order";
+    next[w] = i + 1;
+    expect_payload(msg.payload, w, i);
+  }
+  for (auto& t : writers) t.join();
+
+  // The last drain may have lost the rewind's try-lock to a writer still
+  // unlocking; the next drain (clear) retries it.
+  mailbox.clear();
+  EXPECT_EQ(mailbox.size(), 0u);
+  EXPECT_EQ(ring.control->head.load(), 0u);
+  EXPECT_EQ(ring.control->tail.load(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1393,6 +1508,194 @@ TEST(TcpFork, ReconnectAfterTransientDropKeepsDataIntact) {
     EXPECT_TRUE(exit.exited) << exit.describe();
     EXPECT_EQ(exit.status, transport::kWorkerExitOk) << exit.describe();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Tcp mesh, both ranks in this process: exactly-once delivery across a
+// reconnect, and frames a peer must never be able to make the supervisor
+// accept. No fork, so these also run under ThreadSanitizer.
+// ---------------------------------------------------------------------------
+
+#define VOCAB_REQUIRE_TCP_MESH_SUPPORT()                                             \
+  do {                                                                               \
+    if (!transport::shm_transport_supported()) GTEST_SKIP() << "no shared mappings"; \
+    if (!transport::tcp_transport_supported()) GTEST_SKIP() << "no loopback sockets"; \
+  } while (0)
+
+// The interleaving that used to lose a message for good: rank 0's link is
+// stalled with message A unwritten, then dropped, so A survives only in the
+// outbox. The reconnect's Hello waits behind the stall, and message B is sent
+// between the two Hellos. B must not reach rank 1 ahead of A's replay, or
+// rank 1 accepts B's seq and drops the replayed A as a duplicate.
+TEST(TcpMesh, FreshSendBetweenHellosIsNotLost) {
+  VOCAB_REQUIRE_TCP_MESH_SUPPORT();
+  auto arena = transport::ShmArena::create(tcp_control_arena_options(2));
+  ASSERT_NE(arena, nullptr);
+
+  transport::TransportConfig config;
+  config.heartbeat_period = std::chrono::milliseconds(20);
+  config.heartbeat_timeout = std::chrono::milliseconds(3000);
+
+  FaultSpec stall;
+  stall.kind = FaultKind::StallSocket;
+  stall.device = 0;
+  stall.op_index = 0;
+  stall.element = 1;  // rank 0's link to rank 1
+  stall.delay = std::chrono::milliseconds(800);
+  stall.note = "stall-before-drop";
+  FaultSpec drop = stall;
+  drop.kind = FaultKind::DropConnection;
+  drop.op_index = 1;
+  drop.delay = std::chrono::milliseconds(0);
+  drop.note = "drop-while-stalled";
+  FaultPlan plan;
+  plan.faults = {stall, drop};
+  auto injector = std::make_shared<FaultInjector>(plan);
+
+  constexpr std::chrono::seconds kTimeout{4};
+  std::string errors[2];
+  const auto rank_main = [&](int rank) {
+    try {
+      auto backend = transport::TcpTransport::attach(*arena, rank, config,
+                                                     rank == 0 ? injector : nullptr);
+      Channel inbox0(8, kTimeout, backend.get());
+      Channel inbox1(8, kTimeout, backend.get());
+      if (rank == 0) {
+        const auto applied = [&](std::size_t n) {
+          const auto deadline = Clock::now() + kTimeout;
+          while (backend->supervisor()->chaos().applied().size() < n) {
+            VOCAB_CHECK(Clock::now() < deadline, "chaos event " << n << " never applied");
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        };
+        inbox1.send("warm", Tensor({1}, {1.0f}));
+        (void)inbox0.recv_tag("warm-ack");
+        injector->begin_iteration(0);
+        injector->on_op(0, 0, "stall", nullptr);
+        applied(1);
+        inbox1.send("A", Tensor({2}, {3.0f, 4.0f}));  // stalled: not written yet
+        injector->on_op(0, 1, "drop", nullptr);
+        applied(2);  // A now lives only in the outbox
+        // The reconnect attaches within a few supervisor laps and queues its
+        // Hello behind the stall; B is the fresh send between the Hellos.
+        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+        inbox1.send("B", Tensor({2}, {5.0f, 6.0f}));
+        (void)inbox0.recv_tag("done");
+      } else {
+        (void)inbox1.recv_tag("warm");
+        inbox0.send("warm-ack", Tensor({1}, {0.0f}));
+        const Tensor a = inbox1.recv_tag("A");
+        const Tensor b = inbox1.recv_tag("B");
+        VOCAB_CHECK(a.numel() == 2 && a.data()[0] == 3.0f && a.data()[1] == 4.0f, "A corrupted");
+        VOCAB_CHECK(b.numel() == 2 && b.data()[0] == 5.0f && b.data()[1] == 6.0f, "B corrupted");
+        inbox0.send("done", Tensor({1}, {0.0f}));
+      }
+      backend->mark_done();
+    } catch (const std::exception& e) {
+      errors[rank] = e.what();
+    }
+  };
+  std::thread rank1(rank_main, 1);
+  rank_main(0);
+  rank1.join();
+  EXPECT_EQ(errors[0], "");
+  EXPECT_EQ(errors[1], "");
+}
+
+namespace {
+
+void write_all(int fd, const std::vector<std::byte>& bytes) {
+  std::size_t sent = 0;
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    VOCAB_CHECK(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR,
+                "raw socket write failed: " << std::strerror(errno));
+    VOCAB_CHECK(Clock::now() < deadline, "raw socket write timed out");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+std::vector<std::byte> encoded(transport::FrameKind kind, std::uint64_t seq,
+                               std::vector<std::byte> payload) {
+  transport::Frame frame;
+  frame.kind = kind;
+  frame.seq = seq;
+  frame.payload = std::move(payload);
+  std::vector<std::byte> bytes;
+  transport::encode_frame(frame, &bytes);
+  return bytes;
+}
+
+/// Connect to `rank`'s listener as rank 0 and say Hello (nothing accepted yet).
+int connect_as_rank0(const transport::ShmArena& arena, int rank) {
+  const auto port =
+      static_cast<std::uint16_t>(arena.rank_state(rank).tcp_port.load(std::memory_order_acquire));
+  const int fd = transport::tcp_connect_loopback(port, std::chrono::seconds(5));
+  VOCAB_CHECK(fd >= 0, "cannot connect to rank " << rank << " on port " << port);
+  transport::PayloadWriter hello;
+  hello.u32(0);
+  hello.u64(0);
+  write_all(fd, encoded(transport::FrameKind::kHello, 0, hello.take()));
+  return fd;
+}
+
+std::vector<std::byte> data_payload(std::uint32_t mailbox, const std::string& tag) {
+  transport::PayloadWriter payload;
+  payload.u32(mailbox);
+  payload.str(tag);
+  payload.tensor(Tensor({2}, {7.0f, 8.0f}));
+  return payload.take();
+}
+
+}  // namespace
+
+// A CRC-valid data frame naming mailbox world + 1 is corrupt: the supervisor
+// fails the link instead of growing its mailbox table, does not count the
+// frame as accepted, and takes the reconnect with seq 1 again.
+TEST(TcpMesh, MailboxIdAboveCollectiveInboxFailsTheLink) {
+  VOCAB_REQUIRE_TCP_MESH_SUPPORT();
+  constexpr int kWorld = 2;
+  auto arena = transport::ShmArena::create(tcp_control_arena_options(kWorld));
+  ASSERT_NE(arena, nullptr);
+  transport::TransportConfig config;
+  config.heartbeat_period = std::chrono::milliseconds(20);
+  config.heartbeat_timeout = std::chrono::milliseconds(3000);
+  transport::TcpSupervisor rank1(*arena, 1, config, nullptr);
+
+  int fd = connect_as_rank0(*arena, 1);
+  write_all(fd, encoded(transport::FrameKind::kData, 1, data_payload(kWorld + 1, "forged")));
+  // The supervisor answers with its Hello, then closes the stream.
+  std::vector<std::byte> inbox;
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  bool closed = false;
+  while (!closed && Clock::now() < deadline) {
+    closed = !transport::tcp_read_available(fd, &inbox);
+    if (!closed) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  transport::close_fd(&fd);
+  EXPECT_TRUE(closed) << "the forged frame did not fail the link";
+  EXPECT_EQ(rank1.mailbox_size(kWorld + 1), 0u);
+  Message popped;
+  EXPECT_FALSE(rank1.try_pop_if(kWorld + 1, [](const Message&) { return true; }, &popped));
+
+  // Reconnect: seq 1 is still the next frame rank 1 expects.
+  fd = connect_as_rank0(*arena, 1);
+  write_all(fd, encoded(transport::FrameKind::kData, 1, data_payload(1, "honest")));
+  bool delivered = false;
+  const auto deadline2 = Clock::now() + std::chrono::seconds(5);
+  while (!delivered && Clock::now() < deadline2) {
+    delivered = rank1.try_pop_if(1, [](const Message& m) { return m.tag == "honest"; }, &popped);
+    if (!delivered) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  transport::close_fd(&fd);
+  ASSERT_TRUE(delivered) << rank1.diag_suffix();
+  EXPECT_EQ(popped.payload.data()[1], 8.0f);
+  EXPECT_EQ(rank1.peer_status().at(0).reconnects, 1) << rank1.diag_suffix();
 }
 
 // ---------------------------------------------------------------------------
