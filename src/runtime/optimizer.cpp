@@ -38,7 +38,7 @@ void ParamOptimizer::step(Tensor& param, const Tensor& grad, const OptimizerConf
 
 void ParamOptimizer::step_master(Bf16Tensor& param, const Tensor& grad,
                                  const OptimizerConfig& cfg) {
-  if (master_.empty()) master_ = param.to_tensor();  // exact widening
+  VOCAB_CHECK(!master_.empty(), "step_master before seed_master");
   VOCAB_CHECK(master_.same_shape(grad), "optimizer master/grad shape mismatch: "
                                             << master_.shape_str() << " vs "
                                             << grad.shape_str());

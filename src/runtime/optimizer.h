@@ -44,14 +44,19 @@ class ParamOptimizer {
   /// are allocated on first use and sized to the parameter.
   void step(Tensor& param, const Tensor& grad, const OptimizerConfig& cfg);
 
+  /// Seed the fp32 master from `param` (exact widening). Required once
+  /// before the first step_master; the trainer seeds when mixed precision
+  /// is enabled.
+  void seed_master(const Bf16Tensor& param) { master_ = param.to_tensor(); }
+
   /// Mixed-precision step: `param` is the bf16 working copy; the fp32 master
-  /// weight lives here (seeded exactly from the bf16 values on first use).
-  /// The update runs entirely in fp32 on the master, which is then rounded
-  /// back into `param` — the Megatron master-weight recipe, so repeated tiny
-  /// updates cannot be swallowed by bf16's 8-bit significand.
+  /// weight lives here. The update runs entirely in fp32 on the master,
+  /// which is then rounded back into `param` — the Megatron master-weight
+  /// recipe, so repeated tiny updates cannot be swallowed by bf16's 8-bit
+  /// significand.
   void step_master(Bf16Tensor& param, const Tensor& grad, const OptimizerConfig& cfg);
 
-  /// The fp32 master (empty until the first step_master call).
+  /// The fp32 master (empty until seeded).
   [[nodiscard]] const Tensor& master() const { return master_; }
 
   [[nodiscard]] int steps_taken() const { return t_; }

@@ -1,6 +1,7 @@
 #include "runtime/pipeline_trainer.h"
 
 #include <algorithm>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -182,6 +183,16 @@ TransformerStack& PipelineTrainer::stack_of_stage(int stage) const {
   return *dev.stack;
 }
 
+std::vector<autograd::Var> PipelineTrainer::device_params(int d) const {
+  const Device& dev = *devices_[static_cast<std::size_t>(d)];
+  auto params = dev.stack->parameters();
+  if (dev.stack2) {
+    const auto extra = dev.stack2->parameters();
+    params.insert(params.end(), extra.begin(), extra.end());
+  }
+  return params;
+}
+
 const ExecutorStats* PipelineTrainer::last_executor_stats() const {
   return last_executor_ == nullptr ? nullptr : &last_executor_->last_stats();
 }
@@ -311,10 +322,6 @@ void PipelineTrainer::set_extra_snapshot(std::function<std::string()> snapshot) 
   extra_snapshot_ = std::move(snapshot);
 }
 
-void PipelineTrainer::drain_comm() {
-  for (auto& c : mail_) c->clear();
-}
-
 std::size_t PipelineTrainer::comm_in_flight() const {
   std::size_t total = 0;
   for (const auto& c : mail_) total += c->size();
@@ -330,9 +337,16 @@ void PipelineTrainer::set_mixed_precision(const MixedPrecisionConfig& mp) {
   mp_bf16_comm_ = mp.bf16_comm;
   scaler_ = LossScaler(mp.loss_scale);
   if (mp.bf16_vocab) {
+    // The one place the fp32 masters are seeded (step_master requires it),
+    // on this thread rather than in each device's first step: allocated on
+    // the lane threads amid their activation churn, they raised peak RSS of
+    // the auto-bf16-tcp benchmark workload by about 15% (4 cores, glibc
+    // capped at 4 malloc arenas).
     for (auto& dev : devices_) {
       dev->output->enable_bf16();
       dev->input->enable_bf16();
+      dev->output_opt.seed_master(dev->output->weight_bf16());
+      if (!config_.tie_embeddings) dev->input_opt.seed_master(dev->input->embedding_bf16());
     }
   }
 }
@@ -378,12 +392,7 @@ bool PipelineTrainer::device_grads_nonfinite(int d) const {
     return !t.empty() && ks.nonfinite_count(t.data(), t.numel()) > 0;
   };
   const Device& dev = *devices_[static_cast<std::size_t>(d)];
-  auto params = dev.stack->parameters();
-  if (dev.stack2) {
-    const auto extra = dev.stack2->parameters();
-    params.insert(params.end(), extra.begin(), extra.end());
-  }
-  for (const auto& p : params) {
+  for (const auto& p : device_params(d)) {
     if (bad(p->grad)) return true;
   }
   if (vocab_sharded() && (bad(dev.output->weight_grad()) || bad(dev.input->embedding_grad()))) {
@@ -504,6 +513,7 @@ void PipelineTrainer::compute_clip_device(int d) {
 struct PipelineTrainer::ScheduledIteration final : OpRunner {
   PipelineTrainer& tr;
   const std::vector<Sample>& mbs;
+  const OptimizerConfig& opt;
   float grad_scale;
   std::vector<float> losses;
 
@@ -520,8 +530,8 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
   std::vector<DeviceState> state;
 
   ScheduledIteration(PipelineTrainer& trainer, const std::vector<Sample>& microbatches,
-                     float scale)
-      : tr(trainer), mbs(microbatches), grad_scale(scale),
+                     const OptimizerConfig& optimizer, float scale)
+      : tr(trainer), mbs(microbatches), opt(optimizer), grad_scale(scale),
         losses(microbatches.size(), 0.0f),
         state(static_cast<std::size_t>(trainer.p_)) {}
 
@@ -744,6 +754,8 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
         break;
     }
   }
+
+  void end_lane(int device) override { tr.optimizer_step_device(device, opt); }
 };
 
 // ---------------------------------------------------------------------------
@@ -755,13 +767,11 @@ void PipelineTrainer::optimizer_step_device(int d, const OptimizerConfig& opt) {
   ClipState& cs = clip_state_[static_cast<std::size_t>(d)];
   // Single-device layouts have no clip collective in the schedule; compute
   // the (local) clip decision lazily here. Multi-device runs arrive with it
-  // already computed by the clipAR schedule op, since reaching this point
-  // requires the device threads to have joined.
+  // already computed by the clipAR schedule op, the lane's last op.
   if (clip_active_ && !cs.computed) {
     VOCAB_CHECK(p_ == 1, "clip decision missing for device " << d << " of " << p_);
     compute_clip_device(d);
   }
-  if (clip_active_ && d == 0) last_grad_norm_ = cs.norm;
 
   // Mixed precision: agree globally on overflow before anyone steps, so an
   // iteration either updates every shard or none of them.
@@ -769,16 +779,10 @@ void PipelineTrainer::optimizer_step_device(int d, const OptimizerConfig& opt) {
     Tensor flag({1});
     flag.at(0) = device_grads_nonfinite(d) ? 1.0f : 0.0f;
     if (p_ > 1) group_->all_reduce(d, flag, ReduceOp::Sum, "mpOF");
-    const bool overflow = flag.at(0) > 0.0f;
-    if (d == 0) mp_iter_overflow_ = overflow;
-    if (overflow) {
+    cs.overflow = flag.at(0) > 0.0f;
+    if (cs.overflow) {
       // Skip the step: drop this iteration's gradients, leave weights alone.
-      auto params = dev.stack->parameters();
-      if (dev.stack2) {
-        const auto extra = dev.stack2->parameters();
-        params.insert(params.end(), extra.begin(), extra.end());
-      }
-      for (const auto& p : params) {
+      for (const auto& p : device_params(d)) {
         if (!p->grad.empty()) p->grad.fill(0.0f);
       }
       dev.output->zero_weight_grad();
@@ -792,11 +796,7 @@ void PipelineTrainer::optimizer_step_device(int d, const OptimizerConfig& opt) {
   const float cscale = (clip_active_ ? cs.scale : 1.0f) *
                        (mp_enabled_ ? 1.0f / scaler_.scale() : 1.0f);
 
-  auto params = dev.stack->parameters();
-  if (dev.stack2) {
-    const auto extra = dev.stack2->parameters();
-    params.insert(params.end(), extra.begin(), extra.end());
-  }
+  const auto params = device_params(d);
   if (dev.stack_opt.size() != params.size()) dev.stack_opt.resize(params.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
     if (params[i]->grad.empty()) continue;
@@ -904,8 +904,23 @@ void PipelineTrainer::optimizer_step_device(int d, const OptimizerConfig& opt) {
 // Training iterations.
 // ---------------------------------------------------------------------------
 
-void PipelineTrainer::begin_iteration(const std::vector<Sample>& microbatches,
-                                      const OptimizerConfig& opt) {
+float PipelineTrainer::train_iteration(const std::vector<Sample>& microbatches,
+                                       const OptimizerConfig& opt) {
+  std::vector<int> lanes(static_cast<std::size_t>(p_));
+  std::iota(lanes.begin(), lanes.end(), 0);
+  return run_iteration(lanes, microbatches, opt);
+}
+
+float PipelineTrainer::train_iteration_lane(int rank, const std::vector<Sample>& microbatches,
+                                            const OptimizerConfig& opt) {
+  VOCAB_CHECK(rank >= 0 && rank < p_,
+              "lane rank " << rank << " out of range [0, " << p_ << ")");
+  return run_iteration({rank}, microbatches, opt);
+}
+
+float PipelineTrainer::run_iteration(const std::vector<int>& lanes,
+                                     const std::vector<Sample>& microbatches,
+                                     const OptimizerConfig& opt) {
   VOCAB_CHECK(!microbatches.empty(), "need at least one microbatch");
   // A failed iteration leaves partial gradients and in-flight mailbox state
   // behind; the token stays aborted to poison further use. Recovery means
@@ -915,22 +930,18 @@ void PipelineTrainer::begin_iteration(const std::vector<Sample>& microbatches,
                        "trainer poisoned by an earlier failure — rebuild from a "
                        "checkpoint before training again");
   }
-  // Reset per-iteration clip coordination while still single-threaded; device
-  // threads then each write only their own slot. Every lane-mode worker runs
-  // this identically over its own trainer, so the group agrees on whether the
+  // Reset per-iteration clip coordination while still single-threaded; lanes
+  // then each write only their own slot. Every lane-mode worker runs this
+  // identically over its own trainer, so the group agrees on whether the
   // schedule carries the clip collective.
   clip_active_ = opt.max_grad_norm > 0.0f || monitor_grad_norm_;
   clip_max_norm_ = opt.max_grad_norm;
   for (auto& cs : clip_state_) cs = ClipState{};
   mp_iter_overflow_ = false;
-}
 
-float PipelineTrainer::train_iteration(const std::vector<Sample>& microbatches,
-                                       const OptimizerConfig& opt) {
-  begin_iteration(microbatches, opt);
   const int m = static_cast<int>(microbatches.size());
   // Mixed precision multiplies the loss-gradient scale by S; the optimizer
-  // phase divides S back out before stepping.
+  // step divides S back out.
   const float grad_scale =
       (mp_enabled_ ? scaler_.scale() : 1.0f) /
       (static_cast<float>(config_.seq_len) * static_cast<float>(m));
@@ -938,98 +949,49 @@ float PipelineTrainer::train_iteration(const std::vector<Sample>& microbatches,
   ScheduleExecutor& executor = executor_for(m, clip_active_ && p_ > 1);
   last_executor_ = &executor;
 
-  ScheduledIteration iteration(*this, microbatches, grad_scale);
+  ScheduledIteration iteration(*this, microbatches, opt, grad_scale);
   try {
-    executor.run(iteration);
+    executor.run(iteration, lanes);
   } catch (...) {
     // Abort hygiene: a failed iteration must not leave payloads queued for a
-    // retry to mis-receive.
-    drain_comm();
+    // retry to mis-receive. Only the local lanes' mailboxes are ours to clear;
+    // in lane mode the peers' belong to live processes that drain their own.
+    for (const int d : lanes) mail_[static_cast<std::size_t>(d)]->clear();
     throw;
   }
 
-  // Optimizer phase: one thread per device, like the compute phase (the
-  // tied folded baseline exchanges its gradient over the mailboxes).
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(p_));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(p_));
-  for (int d = 0; d < p_; ++d) {
-    threads.emplace_back([&, d] {
-      try {
-        optimizer_step_device(d, opt);
-      } catch (...) {
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) {
-      drain_comm();
-      std::rethrow_exception(e);
-    }
+  // Every device holds the same all-reduced verdicts; read a local lane's.
+  const ClipState& verdict = clip_state_[static_cast<std::size_t>(lanes.front())];
+  if (clip_active_) last_grad_norm_ = verdict.norm;
+  if (mp_enabled_) {
+    mp_iter_overflow_ = verdict.overflow;
+    scaler_.update(mp_iter_overflow_);
   }
 
-  // The scaler reacts once per iteration, after every device agreed on the
-  // overflow verdict (device 0's step thread recorded it).
-  if (mp_enabled_) scaler_.update(mp_iter_overflow_);
-
-  double total = 0.0;
-  for (const float l : iteration.losses) total += l;
-  return static_cast<float>(total / m);
-}
-
-float PipelineTrainer::train_iteration_lane(int rank, const std::vector<Sample>& microbatches,
-                                            const OptimizerConfig& opt) {
-  VOCAB_CHECK(rank >= 0 && rank < p_,
-              "lane rank " << rank << " out of range [0, " << p_ << ")");
-  VOCAB_CHECK(!mp_enabled_, "lane mode does not support mixed precision");
-  begin_iteration(microbatches, opt);
-
-  const int m = static_cast<int>(microbatches.size());
-  const float grad_scale =
-      1.0f / (static_cast<float>(config_.seq_len) * static_cast<float>(m));
-
-  ScheduleExecutor& executor = executor_for(m, clip_active_ && p_ > 1);
-  last_executor_ = &executor;
-
-  ScheduledIteration iteration(*this, microbatches, grad_scale);
-  try {
-    executor.run_lane(iteration, rank);
-  } catch (...) {
-    // Abort hygiene, lane edition: drain only this lane's mailbox — the
-    // peers' rings belong to live processes that drain their own.
-    mail_[static_cast<std::size_t>(rank)]->clear();
-    throw;
-  }
-
-  optimizer_step_device(rank, opt);
-  if (clip_active_ && rank == 0) {
-    last_grad_norm_ = clip_state_[0].norm;
-  }
-
-  // Folded baseline: the schedule computes the losses on the last stage;
-  // forward them so the return value means the same thing on rank 0 as in
-  // the threaded path (where d==0 records them at C1 for vocab flavors).
-  if (!vocab_sharded() && p_ > 1) {
-    if (rank == p_ - 1) {
-      Tensor l({m});
-      for (int mb = 0; mb < m; ++mb) {
-        l.at(mb) = iteration.losses[static_cast<std::size_t>(mb)];
-      }
-      mail_[0]->send("lane:losses", std::move(l));
-    } else if (rank == 0) {
-      const Tensor l = mail_[0]->recv_tag("lane:losses");
-      for (int mb = 0; mb < m; ++mb) {
-        iteration.losses[static_cast<std::size_t>(mb)] = l.at(mb);
+  if (static_cast<int>(lanes.size()) < p_) {
+    const int rank = lanes.front();
+    // Folded baseline: the schedule computes the losses on the last stage;
+    // forward them so the return value means the same thing on rank 0 as in
+    // threaded mode (where d==0 records them at C1 for vocab flavors).
+    if (!vocab_sharded()) {
+      if (rank == p_ - 1) {
+        Tensor l({m});
+        for (int mb = 0; mb < m; ++mb) {
+          l.at(mb) = iteration.losses[static_cast<std::size_t>(mb)];
+        }
+        mail_[0]->send("lane:losses", std::move(l));
+      } else if (rank == 0) {
+        const Tensor l = mail_[0]->recv_tag("lane:losses");
+        for (int mb = 0; mb < m; ++mb) {
+          iteration.losses[static_cast<std::size_t>(mb)] = l.at(mb);
+        }
       }
     }
+    // One fence per iteration: microbatch tags repeat across iterations, so
+    // no lane may race into iteration i+1's sends while a peer still owes
+    // iteration i receives. (group_ exists: lane mode is multi-device.)
+    group_->barrier(rank, "lane:iter-fence");
   }
-
-  // One fence per iteration: microbatch tags repeat across iterations, so no
-  // lane may race into iteration i+1's sends while a peer still owes
-  // iteration i receives. (group_ exists: lane mode is multi-device.)
-  if (group_ != nullptr) group_->barrier(rank, "lane:iter-fence");
 
   double total = 0.0;
   for (const float l : iteration.losses) total += l;
@@ -1041,15 +1003,6 @@ GptWeights PipelineTrainer::gather_weights_lane(int rank, std::uint64_t seq) {
               "lane rank " << rank << " out of range [0, " << p_ << ")");
   const auto tag = [&](int r, const std::string& what) {
     return "ckpt:" + std::to_string(seq) + ":d" + std::to_string(r) + ":" + what;
-  };
-  const auto device_params = [this](int r) {
-    Device& dev = *devices_[static_cast<std::size_t>(r)];
-    auto params = dev.stack->parameters();
-    if (dev.stack2) {
-      const auto extra = dev.stack2->parameters();
-      params.insert(params.end(), extra.begin(), extra.end());
-    }
-    return params;
   };
 
   if (rank != 0) {
@@ -1077,8 +1030,19 @@ GptWeights PipelineTrainer::gather_weights_lane(int rank, std::uint64_t seq) {
       params[i]->value = mail_[0]->recv_tag(tag(r, "p" + std::to_string(i)));
     }
     if (vocab_sharded()) {
-      dev.input->mutable_embedding() = mail_[0]->recv_tag(tag(r, "emb"));
-      dev.output->mutable_weight() = mail_[0]->recv_tag(tag(r, "out"));
+      // bf16 shards arrive widened, so narrowing them back is exact.
+      Tensor emb = mail_[0]->recv_tag(tag(r, "emb"));
+      Tensor out = mail_[0]->recv_tag(tag(r, "out"));
+      if (dev.input->bf16_enabled()) {
+        dev.input->mutable_embedding_bf16() = Bf16Tensor::from_tensor(emb);
+      } else {
+        dev.input->mutable_embedding() = std::move(emb);
+      }
+      if (dev.output->bf16_enabled()) {
+        dev.output->mutable_weight_bf16() = Bf16Tensor::from_tensor(out);
+      } else {
+        dev.output->mutable_weight() = std::move(out);
+      }
     } else if (r == p_ - 1) {
       dev.out_weight_full = mail_[0]->recv_tag(tag(r, "out"));
     }

@@ -115,12 +115,13 @@ class PipelineTrainer {
   /// Multi-process entry point: run ONLY `rank`'s share of one training
   /// iteration on the calling thread. Every rank of the group must call this
   /// with the same microbatches and optimizer config — each worker process
-  /// owns one trainer built over the same attached shm transport, and the
-  /// cross-rank ordering that sibling threads provide under train_iteration
-  /// comes from the transport's blocking recvs and collective rendezvous
-  /// instead. Mixed precision is not supported in lane mode. Returns
-  /// the mean loss (meaningful on rank 0; the folded baseline forwards its
-  /// last-stage losses to rank 0 first).
+  /// owns one trainer built over the same attached shm or tcp transport, and
+  /// the cross-rank ordering that sibling threads provide under
+  /// train_iteration comes from the transport's blocking recvs and
+  /// collective rendezvous instead. Mixed precision works as in threaded
+  /// mode: every rank updates its own loss scaler from the all-reduced
+  /// overflow verdict. Returns the mean loss (meaningful on rank 0; the
+  /// folded baseline forwards its last-stage losses to rank 0 first).
   float train_iteration_lane(int rank, const std::vector<Sample>& microbatches,
                              const OptimizerConfig& opt);
 
@@ -202,11 +203,6 @@ class PipelineTrainer {
   /// trainer's rolling loss/grad-norm anomaly windows).
   void set_extra_snapshot(std::function<std::string()> snapshot);
 
-  /// Drop every queued mailbox / stage-channel payload. Called on the abort
-  /// paths so a failed iteration cannot leak messages; exposed for the
-  /// abort-hygiene tests.
-  void drain_comm();
-
   /// Total payloads currently queued across all channels (0 after a clean or
   /// cleanly-aborted iteration).
   [[nodiscard]] std::size_t comm_in_flight() const;
@@ -232,13 +228,19 @@ class PipelineTrainer {
   [[nodiscard]] int num_stages() const { return flavor_ == PipelineFlavor::VHalf ? 2 * p_ : p_; }
   [[nodiscard]] int device_of_stage(int stage) const;
   TransformerStack& stack_of_stage(int stage) const;
+  /// Device d's transformer parameters (both V-Half chunks), in stage order.
+  [[nodiscard]] std::vector<autograd::Var> device_params(int d) const;
 
-  /// Prologue shared by train_iteration and train_iteration_lane: refuse a
-  /// poisoned trainer, then reset the per-iteration clip coordination while
-  /// still single-threaded.
-  void begin_iteration(const std::vector<Sample>& microbatches, const OptimizerConfig& opt);
+  /// The one iteration driver behind train_iteration (every device local)
+  /// and train_iteration_lane (`{rank}`): run the local lanes, each stepping
+  /// its own optimizer after its last op; on failure clear the local lanes'
+  /// mailboxes; then update the loss scaler once. Lane mode adds the loss
+  /// forward and the iteration fence. Returns the mean loss.
+  float run_iteration(const std::vector<int>& lanes, const std::vector<Sample>& microbatches,
+                      const OptimizerConfig& opt);
   /// Per-device optimizer step (the shards own their parameters, so no
-  /// optimizer communication is needed — §6.1).
+  /// optimizer communication is needed — §6.1). Runs on device d's lane
+  /// thread after its last op, while peers may still run their tails.
   void optimizer_step_device(int d, const OptimizerConfig& opt);
   /// Build (or fetch the cached) executor for `m` microbatches; `with_clip`
   /// variants run the schedule with the appended clip all-reduce.
@@ -288,15 +290,16 @@ class PipelineTrainer {
   std::function<std::string()> extra_snapshot_;
   bool monitor_grad_norm_ = false;
   float last_grad_norm_ = std::numeric_limits<float>::quiet_NaN();
-  // Per-iteration clip coordination. Reset single-threaded at iteration
-  // start; clip_state_[d] is then written only by device d's thread, and the
-  // optimizer phase reads it after the executor's thread join.
+  // Per-iteration clip and overflow verdicts. Reset single-threaded at
+  // iteration start; clip_state_[d] is then written only by device d's lane,
+  // and run_iteration reads a local lane's slot after the join.
   struct ClipState {
     bool computed = false;
     float scale = 1.0f;
     float norm = 0.0f;
     bool tied_combined = false;  // folded tied: grads already merged pre-clip
     Tensor combined_grad;        // vocab-sharded tied: out+in grad, pre-scale
+    bool overflow = false;       // mixed precision: the all-reduced mpOF verdict
   };
   bool clip_active_ = false;     // this iteration computes the global norm
   float clip_max_norm_ = 0.0f;
@@ -306,7 +309,7 @@ class PipelineTrainer {
   bool mp_enabled_ = false;
   bool mp_bf16_comm_ = false;
   LossScaler scaler_;
-  bool mp_iter_overflow_ = false;          // written by device 0's step thread
+  bool mp_iter_overflow_ = false;  // written by run_iteration after the join
   std::atomic<std::size_t> comm_bf16_bytes_{0};
 };
 

@@ -1,5 +1,6 @@
 #include "runtime/schedule_executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <thread>
@@ -101,7 +102,16 @@ struct ScheduleExecutor::Run {
   Clock::time_point t0;
 };
 
-ScheduleExecutor::Run ScheduleExecutor::begin_run(int lane) {
+// Per-lane outcome of one run, ranked by the rethrow ladder in run().
+struct ScheduleExecutor::Lane {
+  enum class Outcome { kOk, kFailed, kKilled, kAborted };
+  int device = 0;
+  Outcome outcome = Outcome::kOk;
+  std::exception_ptr error;
+  double end_seconds = -1.0;  // since the run's start, at the lane's last op
+};
+
+ScheduleExecutor::Run ScheduleExecutor::begin_run(const std::vector<Lane>& lanes) {
   const int p = schedule_.num_devices;
   stats_.wall_seconds = 0.0;
   stats_.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
@@ -124,11 +134,13 @@ ScheduleExecutor::Run ScheduleExecutor::begin_run(int lane) {
         },
         comm_snapshot_);
     if (peer_probe_) run.watchdog->set_peer_probe(peer_probe_);
-    // In lane mode the other lanes live in other processes and never
-    // heartbeat here; the local watchdog only monitors this lane (peer death
-    // is the transport's heartbeat monitor's job).
+    // Lanes of other processes never heartbeat here; the local watchdog only
+    // monitors the local lanes (peer death is the transport's heartbeat
+    // monitor's job).
+    std::vector<bool> local(static_cast<std::size_t>(p), false);
+    for (const Lane& lane : lanes) local[static_cast<std::size_t>(lane.device)] = true;
     for (int d = 0; d < p; ++d) {
-      if (lane >= 0 && d != lane) run.watchdog->mark_done(d);
+      if (!local[static_cast<std::size_t>(d)]) run.watchdog->mark_done(d);
     }
     run.watchdog->start();
   }
@@ -136,130 +148,121 @@ ScheduleExecutor::Run ScheduleExecutor::begin_run(int lane) {
   return run;
 }
 
-void ScheduleExecutor::end_run(Run& run) {
+void ScheduleExecutor::end_run(Run& run, const std::vector<Lane>& lanes) {
   if (run.watchdog != nullptr) {
     run.watchdog->stop();
     watchdog_report_ = run.watchdog->last_report();
   }
-  stats_.wall_seconds = seconds_since(run.t0);
-}
-
-void ScheduleExecutor::run_device(OpRunner& runner, int device, Watchdog* watchdog,
-                                  AbortToken& token, double& compute_seconds, int& current_op) {
-  for (const program::Instr& in : program_.lanes[static_cast<std::size_t>(device)]) {
-    if (in.op == program::Opcode::kHalt) return;
-    if (in.op != program::Opcode::kCall && in.op != program::Opcode::kColl) continue;
-    // A COLL's op rendezvouses with its group inside the OpRunner
-    // (DeviceGroup); the instruction only fixes this lane's issue position.
-    current_op = in.op == program::Opcode::kCall ? in.a : in.b;
-    const Op& op = schedule_.op(current_op);
-    // Devices busy computing (not blocked in a wait) still stop at the next
-    // op boundary after a peer fails.
-    token.throw_if_aborted("device " + std::to_string(device) + " before op '" + op.label +
-                           "'");
-    if (watchdog != nullptr) watchdog->heartbeat(device, op.id);
-    if (injector_ != nullptr) injector_->on_op(device, op.id, op.label, &token);
-    if (fence_ != nullptr && fence_->active()) fence_->begin_op(device, op.label, op.microbatch);
-    if (op.stream == Stream::Compute) {
-      const auto op_t0 = Clock::now();
-      runner.run_op(op);
-      compute_seconds += seconds_since(op_t0);
-    } else {
-      runner.run_op(op);
-    }
+  for (const Lane& lane : lanes) {
+    stats_.wall_seconds = std::max(stats_.wall_seconds, lane.end_seconds);
   }
 }
 
-void ScheduleExecutor::run_lane(OpRunner& runner, int device) {
-  const int p = schedule_.num_devices;
-  VOCAB_CHECK(device >= 0 && device < p, "lane device " << device << " out of range [0, " << p
-                                                        << ")");
-  Run run = begin_run(device);
+void ScheduleExecutor::run_lane(OpRunner& runner, Run& run, bool all_local, Lane& lane) {
+  const int device = lane.device;
+  // Route this lane's parallel_for to its private pool slice (or force
+  // serial when the machine is narrower than the pipeline).
   parallel::ScopedPool scope(
       pools_.empty() ? nullptr : pools_[static_cast<std::size_t>(device)].get());
-  double compute = 0.0;
-  int current_op = -1;
-  std::exception_ptr error;
-  try {
-    run_device(runner, device, run.watchdog.get(), *run.token, compute, current_op);
-  } catch (const AbortedError&) {
-    error = std::current_exception();
-  } catch (const std::exception& e) {
-    run.token->abort(AbortReason{device, current_op, e.what()});
-    error = std::current_exception();
-  }
-  if (run.watchdog != nullptr) run.watchdog->mark_done(device);
-  stats_.compute_seconds[static_cast<std::size_t>(device)] = compute;
-  end_run(run);
-  if (error != nullptr) std::rethrow_exception(error);
-}
-
-void ScheduleExecutor::run(OpRunner& runner) {
-  const int p = schedule_.num_devices;
-  Run run = begin_run(/*lane=*/-1);
   Watchdog* watchdog = run.watchdog.get();
   AbortToken& token = *run.token;
-
-  // Per-device outcome of this run. kKilled threads raise no abort: the
-  // fault model for a silently-dying rank is that only the watchdog's stall
-  // deadline can discover it.
-  enum class Outcome { kOk, kFailed, kAborted, kKilled };
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(p));
-  std::vector<Outcome> outcomes(static_cast<std::size_t>(p), Outcome::kOk);
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(p));
-  for (int d = 0; d < p; ++d) {
-    threads.emplace_back([&, d] {
-      // Route this device thread's parallel_for to its private pool slice
-      // (or force serial when the machine is narrower than the pipeline).
-      parallel::ScopedPool scope(pools_.empty() ? nullptr : pools_[static_cast<std::size_t>(d)].get());
-      double compute = 0.0;
-      int current_op = -1;
-      try {
-        run_device(runner, d, watchdog, token, compute, current_op);
-        if (watchdog != nullptr) watchdog->mark_done(d);
-      } catch (const ThreadKilledFault&) {
-        // Simulated silent thread death: no abort, no mark_done — the
-        // watchdog must discover the stall from the missing heartbeats.
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-        outcomes[static_cast<std::size_t>(d)] = Outcome::kKilled;
-      } catch (const AbortedError&) {
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-        outcomes[static_cast<std::size_t>(d)] = Outcome::kAborted;
-        if (watchdog != nullptr) watchdog->mark_done(d);
-      } catch (const std::exception& e) {
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-        // Only the thread whose abort() wins is the originating failure; a
-        // losing abort means this exception is secondary fallout (e.g. a
-        // poisoned-communicator error raised after a peer already aborted).
-        outcomes[static_cast<std::size_t>(d)] =
-            token.abort(AbortReason{d, current_op, e.what()}) ? Outcome::kFailed
-                                                              : Outcome::kAborted;
-        if (watchdog != nullptr) watchdog->mark_done(d);
-      } catch (...) {
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-        outcomes[static_cast<std::size_t>(d)] =
-            token.abort(AbortReason{d, current_op, "non-standard exception"})
-                ? Outcome::kFailed
-                : Outcome::kAborted;
-        if (watchdog != nullptr) watchdog->mark_done(d);
+  double compute = 0.0;
+  int current_op = -1;
+  // Only the lane whose abort() wins is the originating failure; a losing
+  // abort means this exception is secondary fallout (e.g. a
+  // poisoned-communicator error raised after a peer already aborted).
+  const auto fail = [&](const char* what) {
+    lane.error = std::current_exception();
+    lane.outcome = token.abort(AbortReason{device, current_op, what}) ? Lane::Outcome::kFailed
+                                                                      : Lane::Outcome::kAborted;
+    if (watchdog != nullptr) watchdog->mark_done(device);
+  };
+  try {
+    for (const program::Instr& in : program_.lanes[static_cast<std::size_t>(device)]) {
+      if (in.op == program::Opcode::kHalt) break;
+      if (in.op != program::Opcode::kCall && in.op != program::Opcode::kColl) continue;
+      // A COLL's op rendezvouses with its group inside the OpRunner
+      // (DeviceGroup); the instruction only fixes this lane's issue position.
+      current_op = in.op == program::Opcode::kCall ? in.a : in.b;
+      const Op& op = schedule_.op(current_op);
+      // Lanes busy computing (not blocked in a wait) still stop at the next
+      // op boundary after a peer fails.
+      token.throw_if_aborted("device " + std::to_string(device) + " before op '" + op.label +
+                             "'");
+      if (watchdog != nullptr) watchdog->heartbeat(device, op.id);
+      if (injector_ != nullptr) injector_->on_op(device, op.id, op.label, &token);
+      if (fence_ != nullptr && fence_->active()) {
+        fence_->begin_op(device, op.label, op.microbatch);
       }
-      stats_.compute_seconds[static_cast<std::size_t>(d)] = compute;
-    });
+      if (op.stream == Stream::Compute) {
+        const auto op_t0 = Clock::now();
+        runner.run_op(op);
+        compute += seconds_since(op_t0);
+      } else {
+        runner.run_op(op);
+      }
+    }
+    lane.end_seconds = seconds_since(run.t0);
+    if (watchdog != nullptr) watchdog->mark_done(device);
+    current_op = -1;
+    // A peer that already failed keeps this lane from stepping; one that
+    // fails later in its tail cannot be seen here (see end_lane).
+    token.throw_if_aborted("device " + std::to_string(device) + " before end_lane");
+    runner.end_lane(device);
+  } catch (const ThreadKilledFault& e) {
+    if (all_local) {
+      // Simulated silent thread death: no abort, no mark_done — the
+      // watchdog must discover the stall from the missing heartbeats.
+      lane.error = std::current_exception();
+      lane.outcome = Lane::Outcome::kKilled;
+    } else {
+      // The peers live in other processes: the abort is what tells them.
+      fail(e.what());
+    }
+  } catch (const AbortedError&) {
+    lane.error = std::current_exception();
+    lane.outcome = Lane::Outcome::kAborted;
+    if (watchdog != nullptr) watchdog->mark_done(device);
+  } catch (const std::exception& e) {
+    fail(e.what());
+  } catch (...) {
+    fail("non-standard exception");
   }
-  for (auto& t : threads) t.join();
-  end_run(run);
+  if (lane.end_seconds < 0.0) lane.end_seconds = seconds_since(run.t0);
+  stats_.compute_seconds[static_cast<std::size_t>(device)] = compute;
+}
+
+void ScheduleExecutor::run(OpRunner& runner, const std::vector<int>& lanes) {
+  const int p = schedule_.num_devices;
+  VOCAB_CHECK(!lanes.empty(), "run needs at least one lane");
+  std::vector<Lane> local(lanes.size());
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    local[i].device = lanes[i];
+    VOCAB_CHECK(local[i].device >= 0 && local[i].device < p,
+                "lane device " << local[i].device << " out of range [0, " << p << ")");
+  }
+  const bool all_local = static_cast<int>(local.size()) == p;
+  Run run = begin_run(local);
+
+  if (local.size() == 1) {
+    run_lane(runner, run, all_local, local[0]);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(local.size());
+    for (Lane& lane : local) {
+      threads.emplace_back([&, l = &lane] { run_lane(runner, run, all_local, *l); });
+    }
+    for (auto& t : threads) t.join();
+  }
+  end_run(run, local);
 
   // Rethrow the originating failure, not a peer's secondary AbortedError.
   // Priority: a real op failure, then a silent kill, then the first abort
   // observation (e.g. all survivors of a watchdog-detected stall).
-  for (const Outcome target : {Outcome::kFailed, Outcome::kKilled, Outcome::kAborted}) {
-    for (int d = 0; d < p; ++d) {
-      if (outcomes[static_cast<std::size_t>(d)] == target &&
-          errors[static_cast<std::size_t>(d)] != nullptr) {
-        std::rethrow_exception(errors[static_cast<std::size_t>(d)]);
-      }
+  for (const Lane::Outcome target :
+       {Lane::Outcome::kFailed, Lane::Outcome::kKilled, Lane::Outcome::kAborted}) {
+    for (const Lane& lane : local) {
+      if (lane.outcome == target && lane.error != nullptr) std::rethrow_exception(lane.error);
     }
   }
 }

@@ -30,9 +30,12 @@
 // ---------
 // The executor compiles its schedule to per-device bytecode at construction
 // and statically re-verifies the program against the source (translation
-// validation; see src/program). run() and run_lane() share one lane loop
-// that walks the compiled program: CALL/COLL dispatch the source op to the
-// OpRunner. SEND/RECV/BARRIER/ALLOC/FREE are static facts the program
+// validation; see src/program). run() executes a set of local lanes — every
+// device in one process, or one device per worker process — through one
+// lane loop that walks the compiled program: CALL/COLL dispatch the source
+// op to the OpRunner, and after the lane's last op the OpRunner's end_lane
+// hook runs on the same thread (the trainer steps the device's optimizer
+// there). SEND/RECV/BARRIER/ALLOC/FREE are static facts the program
 // verifier has proved — every cross-device edge points backward in the
 // certified linearization and memory balances — and at run time the
 // trainer's tag-addressed channels and collective group already enforce
@@ -74,10 +77,18 @@ class OpRunner {
  public:
   virtual ~OpRunner() = default;
   virtual void run_op(const Op& op) = 0;
+  /// Called once on `device`'s thread, inside its ScopedPool, after the
+  /// lane's last op succeeded, unless the run is already aborted by then. A
+  /// lane that fails never reaches it. Peers may still be running their
+  /// tails and can still fail afterwards, so a failed run may have called
+  /// it on some devices. Exceptions follow run_op's failure protocol.
+  virtual void end_lane(int /*device*/) {}
 };
 
 /// Wall-clock accounting of one run().
 struct ExecutorStats {
+  /// From the run's start to the last local lane's final op (end_lane
+  /// hooks excluded).
   double wall_seconds = 0.0;
   /// Per device: seconds spent inside compute-stream ops (transformer and
   /// vocabulary passes). Communication waits inside those ops count as busy,
@@ -102,26 +113,24 @@ class ScheduleExecutor {
   ScheduleExecutor(const ScheduleExecutor&) = delete;
   ScheduleExecutor& operator=(const ScheduleExecutor&) = delete;
 
-  /// Execute every op of the schedule once: p device threads, each invoking
-  /// `runner.run_op` over its sequence in the certified order.
+  /// Execute `lanes`' projections of the schedule, each followed by
+  /// `runner.end_lane`: one thread per lane, or the calling thread when
+  /// there is only one. Every device is threaded mode; `{rank}` is lane
+  /// mode, where each OS process drives one device and the transport's
+  /// blocking recvs and collective rendezvous order it against the lanes of
+  /// the other processes.
   ///
-  /// Failure protocol: the first device-thread exception aborts the shared
-  /// AbortToken, which unblocks every peer wait (channel recvs, collective
-  /// rendezvous, injected sleeps) within kAbortPollInterval — all threads
-  /// join in well under a second instead of serializing comm timeouts. The
-  /// originating exception is rethrown in preference to the peers'
-  /// AbortedErrors. A thread that dies silently (ThreadKilledFault) raises
-  /// no abort; only the watchdog (enable_watchdog) can end such a run early.
-  void run(OpRunner& runner);
-
-  /// Execute only `device`'s projection of the schedule, on the calling
-  /// thread. This is the multi-process entry point: under the shm transport
-  /// each OS process is one pipeline lane and drives exactly one device,
-  /// with cross-lane ordering enforced by the transport's blocking channel
-  /// recvs and collective rendezvous instead of sibling threads. Failure
-  /// protocol matches run(): the first exception aborts the shared token
-  /// (which the shm transport mirrors to every peer process) and is rethrown.
-  void run_lane(OpRunner& runner, int device);
+  /// Failure protocol: the first lane exception aborts the shared
+  /// AbortToken (which the shm and tcp transports mirror to every peer
+  /// process). That unblocks every peer wait (channel recvs, collective
+  /// rendezvous, injected sleeps) within kAbortPollInterval, so all lanes
+  /// end in well under a second instead of serializing comm timeouts. The
+  /// originating exception is rethrown in preference to a silent kill and
+  /// then to the peers' AbortedErrors. When every lane is local, a lane that
+  /// dies silently (ThreadKilledFault) raises no abort; only the watchdog
+  /// (enable_watchdog) can end such a run early. A lane with peers in other
+  /// processes aborts on it like on any other failure.
+  void run(OpRunner& runner, const std::vector<int>& lanes);
 
   /// Share the runtime's abort token (also wired into the trainer's channels
   /// and collectives). Without one, run() still aborts coordinately through
@@ -172,17 +181,19 @@ class ScheduleExecutor {
   [[nodiscard]] int threads_per_device() const { return threads_per_device_; }
 
  private:
-  struct Run;  // per-run token, watchdog and start time
+  struct Run;   // per-run token, watchdog and start time
+  struct Lane;  // one lane's outcome
 
-  /// Reset the stats, resolve the abort token and start the watchdog (over
-  /// every device, or only `lane` when >= 0); shared by run() and run_lane().
-  Run begin_run(int lane);
-  /// Stop the watchdog, keep its report and record the wall time.
-  void end_run(Run& run);
-  /// The one lane loop: walk `device`'s compiled lane, dispatching each
-  /// CALL/COLL instruction's op to `runner`.
-  void run_device(OpRunner& runner, int device, Watchdog* watchdog, AbortToken& token,
-                  double& compute_seconds, int& current_op);
+  /// Reset the stats, resolve the abort token and start the watchdog over
+  /// `lanes` (the others belong to other processes and never heartbeat here).
+  Run begin_run(const std::vector<Lane>& lanes);
+  /// Stop the watchdog, keep its report and record the wall time up to the
+  /// latest lane's last op.
+  void end_run(Run& run, const std::vector<Lane>& lanes);
+  /// The one lane body: walk `lane.device`'s compiled program, dispatching
+  /// each CALL/COLL instruction's op to `runner`, then call end_lane; record
+  /// the outcome in `lane`.
+  void run_lane(OpRunner& runner, Run& run, bool all_local, Lane& lane);
 
   PipelineSchedule schedule_;
   program::CompiledProgram program_;        // compiled + statically verified

@@ -4,7 +4,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <thread>
 
@@ -22,11 +24,14 @@ std::string ProcessExit::describe() const {
 ProcessGroup ProcessGroup::spawn(int world, const std::function<void(int)>& fn) {
   VOCAB_CHECK(world >= 1, "process group world must be >= 1, got " << world);
   ProcessGroup group;
-  group.pids_.resize(static_cast<std::size_t>(world), -1);
-  group.reaped_.resize(static_cast<std::size_t>(world), false);
+  group.pids_.reserve(static_cast<std::size_t>(world));
+  group.reaped_.reserve(static_cast<std::size_t>(world));
   for (int rank = 0; rank < world; ++rank) {
     const pid_t pid = ::fork();
-    VOCAB_CHECK(pid >= 0, "fork failed for rank " << rank);
+    const int fork_errno = errno;
+    // pids_ only ever holds forked children: on a failed fork the half-built
+    // group's destructor kills and reaps exactly the ranks forked so far.
+    VOCAB_CHECK(pid >= 0, "fork failed for rank " << rank << ": " << std::strerror(fork_errno));
     if (pid == 0) {
       // Child: run and leave via _exit only — never unwind into the parent's
       // copied stack, never run the parent's atexit handlers.
@@ -52,9 +57,20 @@ ProcessGroup ProcessGroup::spawn(int world, const std::function<void(int)>& fn) 
       std::fflush(nullptr);
       ::_exit(code);
     }
-    group.pids_[static_cast<std::size_t>(rank)] = pid;
+    group.pids_.push_back(pid);
+    group.reaped_.push_back(false);
   }
   return group;
+}
+
+ProcessGroup::~ProcessGroup() {
+  kill_all(SIGKILL);
+  for (std::size_t r = 0; r < pids_.size(); ++r) {
+    if (reaped_[r]) continue;
+    int status = 0;
+    while (::waitpid(pids_[r], &status, 0) < 0 && errno == EINTR) {
+    }
+  }
 }
 
 std::vector<ProcessExit> ProcessGroup::poll() {

@@ -49,15 +49,18 @@ class ProcessGroup {
  public:
   /// Fork `world` children; child r runs `fn(r)` then _exit(kWorkerExitOk).
   /// An AbortedError/DeadlockError escaping fn exits kWorkerExitAborted, any
-  /// other exception kWorkerExitError (with a note on stderr).
+  /// other exception kWorkerExitError (with a note on stderr). If a fork
+  /// fails, the ranks already forked are killed and reaped before it throws.
   [[nodiscard]] static ProcessGroup spawn(int world, const std::function<void(int)>& fn);
 
+  /// The moved-from group owns no children (its vectors are left empty).
   ProcessGroup(ProcessGroup&&) = default;
-  ProcessGroup& operator=(ProcessGroup&&) = default;
+  ProcessGroup& operator=(ProcessGroup&&) = delete;
   ProcessGroup(const ProcessGroup&) = delete;
   ProcessGroup& operator=(const ProcessGroup&) = delete;
-  /// Does not kill stragglers — call kill_all() first if the group must die.
-  ~ProcessGroup() = default;
+  /// SIGKILLs and reaps every child not reaped yet, so no worker outlives
+  /// its group (or lingers as a zombie) when the owner bails out early.
+  ~ProcessGroup();
 
   /// Reap any children that have exited since the last poll (nonblocking).
   std::vector<ProcessExit> poll();

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -481,7 +482,9 @@ TEST(ProgramSerialization, SaveLoadVerifyExecuteRoundTrip) {
     std::vector<std::vector<int>> order;
   } runner(s.num_devices);
 
-  ex.run(runner);
+  std::vector<int> lanes(static_cast<std::size_t>(s.num_devices));
+  std::iota(lanes.begin(), lanes.end(), 0);
+  ex.run(runner, lanes);
   for (int d = 0; d < s.num_devices; ++d) {
     EXPECT_EQ(runner.order[static_cast<std::size_t>(d)], ex.device_sequence(d))
         << "device " << d;

@@ -12,6 +12,7 @@
 //      checkpoint round trip (v3 carries the scaler state).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -532,6 +533,7 @@ TEST(MixedPrecision, MasterWeightsAccumulateTinyUpdates) {
   Bf16Tensor param = Bf16Tensor::from_tensor(Tensor({4}, 1.0f));
   const Tensor grad({4}, 1.0f);
   ParamOptimizer opt;
+  opt.seed_master(param);
   const OptimizerConfig cfg = OptimizerConfig::sgd(1e-4f);
   for (int i = 0; i < 64; ++i) opt.step_master(param, grad, cfg);
   const float master = opt.master().at(0);
@@ -547,8 +549,12 @@ TEST(MixedPrecision, MasterWeightsAccumulateTinyUpdates) {
 TEST(CheckpointV3, TrainStateRoundTripsAndV2StaysLoadable) {
   const GptConfig cfg = mp_config();
   const GptWeights w = GptWeights::init(cfg, 99);
-  const std::string v3_path = std::string(::testing::TempDir()) + "/simd_ckpt_v3.bin";
-  const std::string v2_path = std::string(::testing::TempDir()) + "/simd_ckpt_v2.bin";
+  // The pid keeps this suite's scalar/ copy, which ctest may run at the same
+  // time, off these files.
+  const std::string prefix =
+      std::string(::testing::TempDir()) + "/simd_ckpt_" + std::to_string(::getpid());
+  const std::string v3_path = prefix + "_v3.bin";
+  const std::string v2_path = prefix + "_v2.bin";
 
   CheckpointTrainState state;
   state.loss_scale = 1024.0f;

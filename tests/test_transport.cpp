@@ -5,8 +5,12 @@
 // SIGKILL death detection via heartbeat loss, and the elastic downgrade loop
 // with its bit-identity recovery guarantee.
 
+#include <grp.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
@@ -16,6 +20,7 @@
 #include <cstring>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,6 +36,7 @@
 #include "fault/fault_injector.h"
 #include "fault/watchdog.h"
 #include "model/gpt.h"
+#include "parallel/thread_pool.h"
 #include "runtime/checkpoint.h"
 #include "runtime/optimizer.h"
 #include "runtime/pipeline_trainer.h"
@@ -684,6 +690,117 @@ TEST(ShmFork, CrossProcessPingPong) {
   }
 }
 
+// A group destroyed without wait_all must not leave its workers behind,
+// running or as zombies: the destructor SIGKILLs and reaps every child it has
+// not reaped yet.
+TEST(ProcessGroup, DestructorReapsOrphanedWorkers) {
+  VOCAB_REQUIRE_FORK_SUPPORT();
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  pid_t pid = -1;
+  std::fflush(nullptr);
+  {
+    auto group = transport::ProcessGroup::spawn(1, [&](int) {
+      const pid_t self = ::getpid();
+      VOCAB_CHECK(::write(fds[1], &self, sizeof(self)) == sizeof(self), "pid write failed");
+      std::this_thread::sleep_for(std::chrono::seconds(60));
+    });
+    ASSERT_EQ(::read(fds[0], &pid, sizeof(pid)), static_cast<ssize_t>(sizeof(pid)));
+  }
+  ::close(fds[0]);
+  ::close(fds[1]);
+  const bool gone = ::kill(pid, 0) != 0 && errno == ESRCH;
+  if (!gone) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+  }
+  EXPECT_TRUE(gone) << "worker " << pid << " outlived its ProcessGroup";
+}
+
+// Exit codes of failed_spawn_probe(), which runs in a forked helper.
+constexpr int kProbeOk = 0;
+constexpr int kProbeSkip = 10;
+constexpr int kProbeSiblingHit = 11;
+constexpr int kProbeLeftChildren = 12;
+
+// Runs in a forked helper: as an otherwise unused uid, caps RLIMIT_NPROC so
+// that a 3-rank spawn forks rank 0 and then fails, next to a sibling process
+// that is not part of the group. Returns one of the kProbe* codes.
+int failed_spawn_probe() {
+  // Root is exempt from RLIMIT_NPROC, and the limit counts every process of
+  // the real uid, so drop to a uid that nothing else runs as.
+  const uid_t uid = 0x7ff00000u + static_cast<uid_t>(::getpid() & 0xffff);
+  if (::setgroups(0, nullptr) != 0 || ::setgid(uid) != 0 || ::setuid(uid) != 0) {
+    return kProbeSkip;
+  }
+  const pid_t sibling = ::fork();
+  if (sibling < 0) return kProbeSkip;
+  if (sibling == 0) {
+    std::this_thread::sleep_for(std::chrono::seconds(60));
+    ::_exit(0);
+  }
+  // The smallest limit under which one more fork succeeds leaves room for
+  // exactly one child.
+  rlimit lim{};
+  ::getrlimit(RLIMIT_NPROC, &lim);
+  rlim_t room = 0;
+  for (rlim_t l = 1; l <= 16 && room == 0; ++l) {
+    lim.rlim_cur = l;
+    if (::setrlimit(RLIMIT_NPROC, &lim) != 0) break;
+    const pid_t probe = ::fork();
+    if (probe == 0) ::_exit(0);
+    if (probe > 0) {
+      ::waitpid(probe, nullptr, 0);
+      room = l;
+    }
+  }
+  int code = kProbeSkip;
+  if (room != 0) {
+    lim.rlim_cur = room;
+    ::setrlimit(RLIMIT_NPROC, &lim);
+    try {
+      auto group = transport::ProcessGroup::spawn(
+          3, [](int) { std::this_thread::sleep_for(std::chrono::seconds(60)); });
+    } catch (const CheckError&) {
+      // Rank 0 forked, rank 1 did not. The sibling must be neither signalled
+      // nor reaped by the group's cleanup.
+      code = ::waitpid(sibling, nullptr, WNOHANG) == 0 && ::kill(sibling, 0) == 0
+                 ? kProbeOk
+                 : kProbeSiblingHit;
+    }
+  }
+  ::kill(sibling, SIGKILL);
+  ::waitpid(sibling, nullptr, 0);
+  // With the sibling gone, rank 0 must not be left behind, live or zombie.
+  if (code == kProbeOk && !(::waitpid(-1, nullptr, WNOHANG) < 0 && errno == ECHILD)) {
+    code = kProbeLeftChildren;
+  }
+  return code;
+}
+
+TEST(ProcessGroup, FailedSpawnKillsOnlyItsOwnChildren) {
+  VOCAB_REQUIRE_FORK_SUPPORT();
+  if (::geteuid() != 0) GTEST_SKIP() << "needs root to switch to an unused uid";
+  std::fflush(nullptr);
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    // Lead a process group, so whatever the probe leaves behind can be
+    // killed below.
+    ::setpgid(0, 0);
+    ::_exit(failed_spawn_probe());
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  ::kill(-helper, SIGKILL);
+  ASSERT_TRUE(WIFEXITED(status)) << "probe killed by signal " << WTERMSIG(status);
+  const int code = WEXITSTATUS(status);
+  if (code == kProbeSkip) GTEST_SKIP() << "could not make a fork fail partway";
+  EXPECT_NE(code, kProbeSiblingHit) << "a failed spawn signalled or reaped a process outside its group";
+  EXPECT_NE(code, kProbeLeftChildren) << "a failed spawn left its forked rank behind";
+  EXPECT_EQ(code, kProbeOk);
+}
+
 // The headline robustness property: SIGKILL of a worker is *detected* by the
 // survivor via heartbeat loss alone (no coordinator involvement) and turns
 // into a coordinated abort well within the test bound — not a 30 s comm
@@ -857,6 +974,127 @@ TEST(ShmFork, ElasticCleanRunMatchesInProcess) {
     }
     expect_bitwise_equal(load_checkpoint(checkpoint), reference.export_weights());
   }
+}
+
+// Lane-mode mixed precision: two forked workers, each driving its own bf16
+// trainer through set_mixed_precision + train_iteration_lane +
+// gather_weights_lane over an attached `kind` transport, match the
+// in-process bf16 trainer bitwise in losses, loss scale and final weights.
+// The first iteration overflows: the loss scale starts at 2^127 and one
+// residual-stream coordinate is planted at 1000, so the scaled gradients
+// leave fp32's range (the scale alone does not). The all-reduced verdict
+// makes every rank skip the step and back off (to 2^16 in one step here),
+// and the remaining iterations train.
+GptWeights lane_bf16_weights(const GptConfig& cfg) {
+  GptWeights weights = GptWeights::init(cfg, 380);
+  weights.pos_embedding.at(0, 0) = 1000.0f;
+  return weights;
+}
+
+MixedPrecisionConfig lane_bf16_config() {
+  MixedPrecisionConfig mp;
+  mp.loss_scale.init_scale = std::ldexp(1.0f, 127);
+  mp.loss_scale.backoff_factor = std::ldexp(1.0f, -111);
+  return mp;
+}
+
+struct LaneBf16Record {
+  float loss = 0.0f;
+  float scale = 0.0f;
+  float overflow = 0.0f;
+};
+
+void expect_lane_bf16_matches_in_process(transport::TransportKind kind,
+                                         transport::ShmArena& arena, const std::string& name) {
+  const GptConfig cfg = transport_config();
+  const SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 381);
+  const OptimizerConfig opt = OptimizerConfig::sgd(0.05f);
+  constexpr int kIterations = 3;
+  constexpr int kMicrobatches = 4;
+  const std::string records = temp_path(name + ".records");
+  const std::string checkpoint = temp_path(name + ".ckpt");
+
+  std::fflush(nullptr);
+  auto group = transport::ProcessGroup::spawn(2, [&](int rank) {
+    // The fork inherited the process ThreadPool without its workers; kernels
+    // outside the executor's own per-device pools run serially.
+    parallel::ScopedPool serial(nullptr);
+    const auto train_lane = [&](auto& backend) {
+      PipelineTrainer trainer(lane_bf16_weights(cfg), /*p=*/2, OutputAlgo::Alg1,
+                              PipelineFlavor::OneFOneBVocab, &backend);
+      backend.set_abort_token(trainer.abort_token());
+      trainer.set_mixed_precision(lane_bf16_config());
+      std::FILE* out = std::fopen((records + std::to_string(rank)).c_str(), "wb");
+      VOCAB_CHECK(out != nullptr, "cannot open " << records << rank);
+      for (int it = 0; it < kIterations; ++it) {
+        const auto iteration = static_cast<std::uint64_t>(it);
+        LaneBf16Record record;
+        record.loss =
+            trainer.train_iteration_lane(rank, microbatches(corpus, iteration, kMicrobatches), opt);
+        record.scale = trainer.loss_scaler().scale();
+        record.overflow = trainer.last_overflow() ? 1.0f : 0.0f;
+        VOCAB_CHECK(std::fwrite(&record, sizeof(record), 1, out) == 1, "record write failed");
+        const GptWeights full = trainer.gather_weights_lane(rank, iteration);
+        if (rank == 0 && it == kIterations - 1) save_checkpoint(checkpoint, full);
+      }
+      std::fclose(out);
+      backend.mark_done();
+    };
+    if (kind == transport::TransportKind::kTcp) {
+      train_lane(*transport::TcpTransport::attach(arena, rank, transport::TransportConfig{}));
+    } else {
+      train_lane(*transport::ShmTransport::attach(arena, rank, transport::TransportConfig{}));
+    }
+  });
+  ASSERT_TRUE(group.wait_all(std::chrono::seconds(120)));
+  for (const transport::ProcessExit& exit : group.exits()) {
+    ASSERT_TRUE(exit.exited) << exit.describe();
+    ASSERT_EQ(exit.status, transport::kWorkerExitOk) << exit.describe();
+  }
+
+  std::vector<std::vector<LaneBf16Record>> lanes(2);
+  for (int rank = 0; rank < 2; ++rank) {
+    std::FILE* in = std::fopen((records + std::to_string(rank)).c_str(), "rb");
+    ASSERT_NE(in, nullptr) << "rank " << rank;
+    lanes[static_cast<std::size_t>(rank)].resize(kIterations);
+    const std::size_t got = std::fread(lanes[static_cast<std::size_t>(rank)].data(),
+                                       sizeof(LaneBf16Record), kIterations, in);
+    std::fclose(in);
+    ASSERT_EQ(got, static_cast<std::size_t>(kIterations)) << "rank " << rank;
+  }
+
+  PipelineTrainer reference(lane_bf16_weights(cfg), /*p=*/2, OutputAlgo::Alg1,
+                            PipelineFlavor::OneFOneBVocab);
+  reference.set_mixed_precision(lane_bf16_config());
+  for (int it = 0; it < kIterations; ++it) {
+    const float loss = reference.train_iteration(
+        microbatches(corpus, static_cast<std::uint64_t>(it), kMicrobatches), opt);
+    EXPECT_EQ(reference.last_overflow(), it == 0) << "iteration " << it;
+    EXPECT_EQ(lanes[0][static_cast<std::size_t>(it)].loss, loss) << "iteration " << it;
+    for (int rank = 0; rank < 2; ++rank) {
+      const LaneBf16Record& record =
+          lanes[static_cast<std::size_t>(rank)][static_cast<std::size_t>(it)];
+      EXPECT_EQ(record.scale, reference.loss_scaler().scale())
+          << "rank " << rank << " iteration " << it;
+      EXPECT_EQ(record.overflow, reference.last_overflow() ? 1.0f : 0.0f)
+          << "rank " << rank << " iteration " << it;
+    }
+  }
+  expect_bitwise_equal(load_checkpoint(checkpoint), reference.export_weights());
+}
+
+TEST(ShmFork, LaneModeBf16MatchesInProcess) {
+  VOCAB_REQUIRE_FORK_SUPPORT();
+  EnvGuard guard("VOCAB_SCHEDULE", nullptr);
+  transport::ShmArenaOptions arena_options;
+  arena_options.world = 2;
+  arena_options.num_mailboxes = 2;
+  arena_options.ring_bytes = std::size_t{4} << 20;
+  arena_options.slot_bytes = std::size_t{2} << 20;
+  auto arena = transport::ShmArena::create(arena_options);
+  ASSERT_NE(arena, nullptr);
+  expect_lane_bf16_matches_in_process(transport::TransportKind::kShm, *arena,
+                                      "shm_lane_bf16");
 }
 
 // ---------------------------------------------------------------------------
@@ -1830,6 +2068,15 @@ TEST(TcpFork, ElasticCleanRunMatchesInProcess) {
         << "iteration " << it;
   }
   expect_bitwise_equal(load_checkpoint(checkpoint), reference.export_weights());
+}
+
+TEST(TcpFork, LaneModeBf16MatchesInProcess) {
+  VOCAB_REQUIRE_TCP_FORK_SUPPORT();
+  EnvGuard guard("VOCAB_SCHEDULE", nullptr);
+  auto arena = transport::ShmArena::create(tcp_control_arena_options(2));
+  ASSERT_NE(arena, nullptr);
+  expect_lane_bf16_matches_in_process(transport::TransportKind::kTcp, *arena,
+                                      "tcp_lane_bf16");
 }
 
 // ---------------------------------------------------------------------------
